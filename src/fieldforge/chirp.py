@@ -8,69 +8,24 @@ transform (convention F(w) = integral f(t) exp(-i w t) dt)
              { C(x+) + C(x-) +- i [S(x+) + S(x-)] },
     x+- = sqrt(kappa/pi) (T/2 -+ w/kappa).
 
-C and S are the Fresnel integrals, evaluated here to 1e-10 absolute by a
-power series in extended precision below z = 3.9 and the auxiliary
-f/g asymptotic series above.  The published recipe (switch at z = 2 with
-five asymptotic terms) cannot reach that accuracy in double precision:
-the five-term remainder at z = 2 is about 3e-6, and the series suffers
-catastrophic cancellation past z of roughly 3.2 in float64.  Extended
-precision pushes the cancellation wall past the switch point; both
-regimes keep the signed-remainder truncation control.
+C and S are the Fresnel integrals, evaluated to 1e-10 absolute.  Up to
+|z| = 1e6 they come from scipy.special.fresnel, which agrees with 40-digit
+mpmath to within 4e-16 below z = 4 and 4e-11 up to 1e6.  Past 1e6 its
+phase pi z^2/2 loses digits (errors reach 4e-9 by 1e9), so there the
+auxiliary f/g asymptotic series is used with the phase range-reduced
+exactly on the float's mantissa.  No extended precision is involved.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.special
 
 from .errors import AmbiguousRegion, ValidationError, ZeroChirp
 
-_LD = np.longdouble
-_PI_LD = np.arccos(_LD(-1.0))
-Z_SWITCH = 3.9
-_SERIES_STOP = _LD(1e-15)
-_MAX_SERIES_TERMS = 90
+_SCIPY_MAX = 1e6
 _MAX_ASYMP_TERMS = 13
-
-
-def _series_cs(z):
-    """Power series for C, S at 0 <= z <= Z_SWITCH, extended precision.
-
-    Terms alternate; once their magnitude decreases the remainder has the
-    sign of, and is bounded by, the first omitted term.  The decrease
-    conditions (kept m terms are safe when z^4 is below
-    (8/pi^2) m(2m-1)(4m+1)/(4m-3) for C and the (2m+1)(4m+3)/(4m-1)
-    analogue for S) are enforced before stopping.
-    """
-    zl = _LD(z)
-    z2 = zl * zl
-    z4 = z2 * z2
-    q = (_PI_LD / 2) * (_PI_LD / 2) * z4  # ratio building block
-
-    c_sum = _LD(0)
-    s_sum = _LD(0)
-    a = _LD(1)            # (pi/2)^{2n} z^{4n} / (2n)!
-    b = (_PI_LD / 2) * z2  # (pi/2)^{2n+1} z^{4n+2} / (2n+1)!
-    sign = _LD(1)
-    n = 0
-    while True:
-        term_c = sign * a / (4 * n + 1)
-        term_s = sign * b / (4 * n + 3)
-        c_sum += term_c
-        s_sum += term_s
-        n += 1
-        a = a * q / ((2 * n - 1) * (2 * n))
-        b = b * q / ((2 * n) * (2 * n + 1))
-        sign = -sign
-        if max(abs(a / (4 * n + 1)), abs(b / (4 * n + 3))) < _SERIES_STOP:
-            m = n  # number of kept terms; next term is the remainder bound
-            ok_c = z4 < (8 / (_PI_LD * _PI_LD)) * m * (2 * m - 1) * (4 * m + 1) / max(4 * m - 3, 1)
-            ok_s = z4 < (8 / (_PI_LD * _PI_LD)) * m * (2 * m + 1) * (4 * m + 3) / (4 * m - 1)
-            if ok_c and ok_s:
-                break
-        if n > _MAX_SERIES_TERMS:
-            raise ValidationError(f"Fresnel series failed to settle at z={z}")
-    return float(zl * c_sum), float(zl * s_sum)
 
 
 def _reduced_phase(z):
@@ -90,17 +45,14 @@ def _reduced_phase(z):
 
 
 def _asymptotic_cs(z):
-    """Auxiliary-function form for z > Z_SWITCH.
+    """Auxiliary-function form for z > _SCIPY_MAX.
 
     f and g are alternating asymptotic series; summation stops at the
     smallest term, which bounds the remainder.  The oscillatory phase
     pi z^2/2 is range-reduced exactly so the result stays accurate for
     arbitrarily large z.
     """
-    if z > 1e6:
-        u = _reduced_phase(z)
-    else:
-        u = math.pi * z * z / 2.0
+    u = _reduced_phase(z)
     inv = (2.0 / math.pi) / z / z  # 1/(pi z^2/2); underflow is harmless
     f_sum = 0.0
     g_sum = 0.0
@@ -130,37 +82,30 @@ def _asymptotic_cs(z):
     return c, s
 
 
-def _fresnel_scalar(z):
-    if z == 0.0:
-        return 0.0, 0.0
-    az = abs(z)
-    if az <= Z_SWITCH:
-        c, s = _series_cs(az)
-    else:
-        c, s = _asymptotic_cs(az)
-    if z < 0:
-        return -c, -s
-    return c, s
-
-
 def fresnel(z):
     """Fresnel integrals (C(z), S(z)), absolute error below 1e-10.
 
-    Accepts scalars or arrays.  C and S are odd; C(z) -> 1/2 as
-    z -> +inf with |C - 1/2| <= 1/(pi z).
+    Accepts scalars or arrays; a scalar gives a pair of floats.  C and S
+    are odd, and are evaluated at |z| with the sign applied afterwards,
+    so the oddness is exact.  |z| <= 1e6 goes to scipy.special.fresnel;
+    larger |z| (which no chirp in this package reaches) to the exactly
+    range-reduced asymptotic series.  C(z) -> 1/2 as z -> +inf with
+    |C - 1/2| <= 1/(pi z).
     """
     zarr = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(zarr)):
         raise ValidationError("fresnel requires finite arguments")
-    if zarr.ndim == 0:
-        return _fresnel_scalar(float(zarr))
-    out_c = np.empty(zarr.shape)
-    out_s = np.empty(zarr.shape)
     flat = zarr.ravel()
-    fc, fs = out_c.ravel(), out_s.ravel()
-    for i, zi in enumerate(flat):
-        fc[i], fs[i] = _fresnel_scalar(float(zi))
-    return out_c, out_s
+    az = np.abs(flat)
+    s, c = scipy.special.fresnel(az)
+    for i in np.flatnonzero(az > _SCIPY_MAX):
+        c[i], s[i] = _asymptotic_cs(float(az[i]))
+    sign = np.where(flat < 0, -1.0, 1.0)
+    c *= sign
+    s *= sign
+    if zarr.ndim == 0:
+        return float(c[0]), float(s[0])
+    return c.reshape(zarr.shape), s.reshape(zarr.shape)
 
 
 @dataclass(frozen=True)

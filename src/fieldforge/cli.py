@@ -19,6 +19,7 @@ native phases of the calibrated well trajectory.
 """
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -92,6 +93,30 @@ def _emit_csv(columns):
         sys.stdout.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integral(value):
+    # 2.0 counts: numpy-backed JSON writers emit integral floats
+    return _is_number(value) and float(value).is_integer()
+
+
+def _config_block(data, name, cls):
+    block = data.get(name, {})
+    if not isinstance(block, dict):
+        raise ValidationError(f"config {name} must be a JSON object")
+    optional = {f.name for f in dataclasses.fields(cls) if f.default is None}
+    for key, value in block.items():
+        if not (_is_number(value) or (value is None and key in optional)):
+            raise ValidationError(f"config {name}.{key} must be a number, "
+                                  f"got {value!r}")
+    try:
+        return cls(**block)
+    except TypeError as exc:
+        raise ValidationError(f"bad config: {exc}") from exc
+
+
 def _load_config(path):
     if path is None:
         return CompileParams(), ScalingConfig()
@@ -99,37 +124,50 @@ def _load_config(path):
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
-    try:
-        params = CompileParams(**data.get("params", {}))
-        scaling = ScalingConfig(**data.get("scaling", {}))
-    except TypeError as exc:
-        raise ValidationError(f"bad config: {exc}") from exc
-    return params, scaling
+    return (_config_block(data, "params", CompileParams),
+            _config_block(data, "scaling", ScalingConfig))
+
+
+def _gate_number(g, key, index):
+    value = g.get(key, 0.0)
+    if not _is_number(value):
+        raise ValidationError(f"gate {index}: {key} must be a number, "
+                              f"got {value!r}")
+    return float(value)
 
 
 def load_circuit(path, params=None):
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        n = int(data["n_qubits"])
+        n = data["n_qubits"]
         raw = data["gates"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: need n_qubits and gates") from exc
+    if not _is_integral(n):
+        raise ValidationError(f"{path}: n_qubits must be an integer")
+    if not isinstance(raw, list):
+        raise ValidationError(f"{path}: gates must be a list")
     gates = []
     native = None
-    for g in raw:
-        kind = g.get("kind")
-        qubits = tuple(int(q) for q in g.get("qubits", ()))
-        if kind == "entangling" and ("alpha" not in g or "beta" not in g):
+    for index, g in enumerate(raw):
+        if not isinstance(g, dict):
+            raise ValidationError(f"gate {index}: must be a JSON object")
+        qubits = g.get("qubits", [])
+        if not (isinstance(qubits, list) and all(map(_is_integral, qubits))):
+            raise ValidationError(f"gate {index}: qubits must be a list of "
+                                  f"integers, got {qubits!r}")
+        if g.get("kind") == "entangling" and ("alpha" not in g or "beta" not in g):
             if native is None:
                 native = native_entangling_phases(params)
             alpha, beta = native
         else:
-            alpha = float(g.get("alpha", 0.0))
-            beta = float(g.get("beta", 0.0))
-        gates.append(GateSpec(kind, qubits, angle=float(g.get("angle", 0.0)),
+            alpha = _gate_number(g, "alpha", index)
+            beta = _gate_number(g, "beta", index)
+        gates.append(GateSpec(g.get("kind"), tuple(int(q) for q in qubits),
+                              angle=_gate_number(g, "angle", index),
                               alpha=alpha, beta=beta))
-    return LogicalCircuit(n, tuple(gates))
+    return LogicalCircuit(int(n), tuple(gates))
 
 
 def _cmd_eigensolve(args):

@@ -44,6 +44,7 @@ from .schrodinger import tunneling_and_interaction_estimates
 
 INTER_QUBIT_TUNNELING = 1e-10
 FORMAT_VERSION = 1
+CSV_BLOCK_VALUES = 1 << 12   # samples per save_csv write (about 300 kB of text)
 
 
 @dataclass(frozen=True)
@@ -210,14 +211,24 @@ class CompiledFields:
             self.save_csv(os.path.join(out_dir, basename + ".csv"))
 
     def save_csv(self, path):
+        """One "t,x,j1,j2" row per sample, time-major, at 17 digits.
+
+        Rows are formatted and written a block of time rows at a time, so
+        the text in memory stays near CSV_BLOCK_VALUES lines.
+        """
         nt, nx = self.j1.shape
+        fmt = "%.17g".__mod__
+        xs = ["," + v + "," for v in map(fmt, self.x.tolist())]
+        rows = max(1, CSV_BLOCK_VALUES // nx)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,j1,j2\n")
-            for i in range(nt):
-                ti = self.t[i]
-                for k in range(nx):
-                    fh.write(f"{ti:.17g},{self.x[k]:.17g},"
-                             f"{self.j1[i, k]:.17g},{self.j2[i, k]:.17g}\n")
+            for start in range(0, nt, rows):
+                stop = min(start + rows, nt)
+                heads = [ti + xk for ti in map(fmt, self.t[start:stop].tolist())
+                         for xk in xs]
+                j1 = map(fmt, self.j1[start:stop].ravel().tolist())
+                j2 = map(fmt, self.j2[start:stop].ravel().tolist())
+                fh.write("".join(map("%s%s,%s\n".__mod__, zip(heads, j1, j2))))
 
     @classmethod
     def load(cls, out_dir, basename="fields"):

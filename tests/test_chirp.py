@@ -19,6 +19,24 @@ def test_fresnel_against_scipy():
     np.testing.assert_allclose(s, s_ref, atol=1e-10)
 
 
+def test_fresnel_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    mag = np.logspace(-300.0, 9.0, 156)
+    edges = np.array([0.0, 3.9, 1e6, np.nextafter(1e6, 0.0),
+                      np.nextafter(1e6, np.inf)])
+    # pi z^2/2 = 2 pi (z^2/4) lands on, or just off, a multiple of 2 pi
+    on_turn = np.array([1e7, np.nextafter(1e7, 0.0), np.nextafter(1e7, np.inf),
+                        2.0 * np.sqrt(25e12 + 1.0), 2.0 * np.sqrt(25e12 + 7.0)])
+    z = np.concatenate([mag, edges, on_turn])
+    z = np.concatenate([z, -z])
+    c, s = fresnel(z)
+    with mpmath.workdps(40):
+        c_ref = np.array([float(mpmath.fresnelc(mpmath.mpf(v))) for v in z])
+        s_ref = np.array([float(mpmath.fresnels(mpmath.mpf(v))) for v in z])
+    np.testing.assert_allclose(c, c_ref, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(s, s_ref, rtol=0.0, atol=1e-10)
+
+
 def test_fresnel_scalar_and_oddness():
     c, s = fresnel(1.7)
     cm, sm = fresnel(-1.7)

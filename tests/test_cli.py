@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fieldforge.cli import main
+from fieldforge.cli import load_circuit, main
 from fieldforge.compiler import CompiledFields, native_entangling_phases
 
 
@@ -231,6 +231,48 @@ def test_bad_inputs_exit_three(capsys, tmp_path):
     code, _, err = run(capsys, ["passage", "--eps", "0.2", "--seed", "-1"])
     assert code == 3
     assert "seed" in err
+
+
+@pytest.mark.parametrize("circuit,config", [
+    ({"n_qubits": 2, "gates": [1]}, None),
+    ({"n_qubits": 2, "gates": [{"kind": "xrot", "qubits": ["a"]}]}, None),
+    ({"n_qubits": 2, "gates": [{"kind": "xrot", "qubits": [0],
+                                "angle": "pi"}]}, None),
+    ({"n_qubits": 1, "gates": [{"kind": "xrot", "qubits": [0]}]},
+     {"params": {"m": "1"}}),
+    ({"n_qubits": 1, "gates": [{"kind": "xrot", "qubits": [0]}]},
+     {"params": {"m": None}}),
+    ({"n_qubits": 2, "gates": [{"kind": "xrot", "qubits": [1.5]}]}, None),
+    ({"n_qubits": 2, "gates": [{"kind": "xrot", "qubits": [True]}]}, None),
+    ({"n_qubits": "2", "gates": [{"kind": "xrot", "qubits": [0]}]}, None),
+], ids=["gate-not-object", "qubit-not-integer", "angle-not-number",
+        "param-not-number", "param-null", "qubit-fractional", "qubit-bool",
+        "n-qubits-string"])
+def test_malformed_json_exits_three(capsys, tmp_path, circuit, config):
+    path = tmp_path / "circ.json"
+    path.write_text(json.dumps(circuit))
+    argv = ["compile", "--circuit", str(path), "--out", str(tmp_path / "o")]
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "config.json")]
+    code, _, err = run(capsys, argv)
+    assert code == 3
+    assert err.startswith("error: ")
+
+
+def test_integral_floats_load_as_integers(tmp_path):
+    gates = [{"kind": "xrot", "qubits": [1], "angle": 0.3},
+             {"kind": "entangling", "qubits": [0, 1], "alpha": 0.1, "beta": 0.2}]
+    as_int = tmp_path / "int.json"
+    as_int.write_text(json.dumps({"n_qubits": 2, "gates": gates}))
+    for g in gates:
+        g["qubits"] = [float(q) for q in g["qubits"]]
+    as_float = tmp_path / "float.json"
+    as_float.write_text(json.dumps({"n_qubits": 2.0, "gates": gates}))
+    circuit = load_circuit(str(as_float))
+    assert circuit == load_circuit(str(as_int))
+    assert type(circuit.n_qubits) is int
+    assert all(type(q) is int for g in circuit.gates for q in g.qubits)
 
 
 def test_version_flag(capsys):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from fieldforge import compiler
 from fieldforge.circuits import GateSpec, LogicalCircuit, ideal_unitary, insert_swaps
 from fieldforge.compiler import (
     CompileParams,
@@ -214,6 +215,39 @@ def test_save_load_round_trip(compiled, tmp_path):
     assert head == "t,x,j1,j2"
     assert float(first[0]) == compiled.t[0]
     assert float(first[2]) == compiled.j1[0, 0]
+
+
+def _row_loop_csv(fields, path):
+    """The one-write-per-sample CSV writer, kept as the byte oracle."""
+    nt, nx = fields.j1.shape
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("t,x,j1,j2\n")
+        for i in range(nt):
+            ti = fields.t[i]
+            for k in range(nx):
+                fh.write(f"{ti:.17g},{fields.x[k]:.17g},"
+                         f"{fields.j1[i, k]:.17g},{fields.j2[i, k]:.17g}\n")
+
+
+@pytest.mark.parametrize("block", [3, 20, compiler.CSV_BLOCK_VALUES])
+def test_save_csv_matches_row_loop(tmp_path, monkeypatch, block):
+    # 13 x 7 = 91 samples: a block below one row still writes one time row,
+    # and 20 samples make two-row blocks with a one-row remainder
+    monkeypatch.setattr(compiler, "CSV_BLOCK_VALUES", block)
+    rng = np.random.default_rng(5)
+    t = np.linspace(0.0, 3.0, 13)
+    x = np.linspace(-3.0, 3.0, 7)
+    x[3] = -0.0
+    j1 = rng.normal(size=(13, 7)) * 10.0 ** rng.integers(-300, 300, (13, 7))
+    j2 = rng.normal(size=(13, 7))
+    j1[0, 0], j1[4, 6], j2[12, 6] = -0.0, 5e-324, -2.5e-310
+    fields = CompiledFields(t=t, x=x, j1=j1, j2=j2, windows=[], resources=None,
+                            params={}, config_hash="", metadata={})
+    fields.save_csv(tmp_path / "chunked.csv")
+    _row_loop_csv(fields, tmp_path / "rows.csv")
+    chunked = (tmp_path / "chunked.csv").read_bytes()
+    assert chunked == (tmp_path / "rows.csv").read_bytes()
+    assert b",-0," in chunked and b"e-324" in chunked
 
 
 def test_load_rejects_corrupt_files(compiled, tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
-from scipy.linalg import expm
+from scipy.linalg import eigh_tridiagonal, expm
 
 from fieldforge.errors import (
     DimensionMismatch,
@@ -104,6 +105,49 @@ def test_mode_decomposition_validation():
         mode_decomposition(np.zeros(grid.n), 1.0, grid, n_continuum=grid.n - 1)
     full = mode_decomposition(np.zeros(grid.n), 1.0, grid, n_continuum=None)
     assert len(full.omegas) == grid.n - 2
+
+
+def _leftmost_peak(rows):
+    mag = np.abs(rows)
+    first = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=1, keepdims=True), axis=1)
+    return rows[np.arange(len(rows)), first]
+
+
+@pytest.mark.parametrize("centre", [1.3, 0.0], ids=["off-centre", "centred"])
+def test_spectrum_matches_index_selection(centre):
+    # divide and conquer against bisection plus inverse iteration
+    # (select="i"); the centred well is mirror-symmetric, so odd modes have
+    # equal peaks at +-x and only a tie-robust sign rule makes both agree
+    grid = Grid.symmetric(15.0, 241)
+    j2 = square_well(grid.x - centre, depth=0.4, half_width=2.5)
+    basis = mode_decomposition(j2, 1.0, grid, n_continuum=None)
+    dx = grid.dx
+    diag = 2.0 / dx ** 2 + 1.0 + 2.0 * j2[1:-1]
+    off = np.full(len(diag) - 1, -1.0 / dx ** 2)
+    w2, vecs = eigh_tridiagonal(diag, off, select="i",
+                                select_range=(0, len(diag) - 1))
+    np.testing.assert_allclose(basis.omegas ** 2, w2, rtol=1e-10)
+    assert basis.n_bound == int(np.sum(w2 < 1.0 - 1e-12)) > 0
+    assert np.all(_leftmost_peak(basis.psis) > 0)
+    ref = vecs.T / np.sqrt(dx)
+    ref *= np.where(_leftmost_peak(ref) < 0, -1.0, 1.0)[:, None]
+    np.testing.assert_allclose(basis.psis[:, 1:-1], ref, rtol=0.0, atol=1e-8)
+    partial = mode_decomposition(j2, 1.0, grid, n_continuum=5)
+    n_keep = basis.n_bound + 5
+    assert partial.n_bound == basis.n_bound
+    np.testing.assert_array_equal(partial.omegas, basis.omegas[:n_keep])
+    np.testing.assert_array_equal(partial.psis, basis.psis[:n_keep])
+
+
+def test_sign_rule_picks_left_peak_of_odd_modes():
+    grid = Grid.symmetric(15.0, 241)
+    basis = mode_decomposition(square_well(grid.x, depth=0.4, half_width=2.5),
+                               1.0, grid, n_continuum=None)
+    x = grid.x
+    for psi in basis.psis[1::2]:      # odd under x -> -x
+        np.testing.assert_allclose(psi, -psi[::-1], atol=1e-10)
+        peaks = np.flatnonzero(np.abs(psi) >= (1.0 - 1e-8) * np.max(np.abs(psi)))
+        assert x[peaks[0]] < 0 and psi[peaks[0]] > 0
 
 
 def test_source_overlap_separable(free_basis):
@@ -348,3 +392,42 @@ def test_probe_validation(probe_basis):
         local_energy_probe(ones, probe_basis, a=2.0 * probe_basis.grid.dx)
     with pytest.raises(DimensionMismatch):
         local_energy_probe(np.ones(10), probe_basis)
+
+
+def _two_product_probe(f, basis):
+    """A and B with P = (F K + K F)/2 built from K, as before the identity."""
+    grid = basis.grid
+    dx = grid.dx
+    n = grid.n - 2
+    w2 = basis.m ** 2 + 2.0 * basis.j2
+    k2 = sp.diags([2.0 / dx ** 2 + w2[1:-1],
+                   np.full(n - 1, -1.0 / dx ** 2),
+                   np.full(n - 1, -1.0 / dx ** 2)], [0, 1, -1], format="csr")
+    fd = sp.diags(f[1:-1])
+    p_form = ((fd @ k2 + k2 @ fd) / 2.0).tocsr()
+    v = basis.psis[:, 1:-1].T * np.sqrt(dx)
+    pt = v.T @ (p_form @ v)
+    qt = v.T @ (fd @ v)
+    sw = np.sqrt(basis.omegas)
+    inv = 1.0 / (sw[:, None] * sw[None, :])
+    out = sw[:, None] * sw[None, :]
+    return 0.5 * (pt * inv + out * qt), 0.25 * (pt * inv - out * qt)
+
+
+@pytest.mark.parametrize("n_continuum", [None, 5])
+@pytest.mark.parametrize("window", ["sharp", "smooth"])
+def test_probe_matches_two_product_formula(window, n_continuum):
+    grid = Grid.symmetric(20.0, 301)
+    basis = mode_decomposition(square_well(grid.x), 1.0, grid,
+                               n_continuum=n_continuum)
+    x = grid.x
+    if window == "sharp":
+        f = (np.abs(x) <= 2.0).astype(float)
+    else:
+        f = np.exp(-x ** 2 / (2.0 * 6.0 ** 2))
+    report = local_energy_probe(f, basis)
+    a_ref, b_ref = _two_product_probe(f, basis)
+    np.testing.assert_allclose(report.a_matrix, a_ref, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(report.b_matrix, b_ref, rtol=0.0, atol=1e-10)
+    assert report.mean == pytest.approx(0.5 * np.trace(a_ref), rel=1e-12)
+    assert report.shift == pytest.approx(a_ref[0, 0], rel=1e-12)
