@@ -54,7 +54,6 @@ from .gates import (
     GateCalibration,
     TwoQubitSchedule,
     WellPairTrajectory,
-    WellTrajectory,
     calibrate_entangling,
     calibrate_x_gate,
     calibrate_z_gate,
@@ -63,7 +62,6 @@ from .gates import (
     extract_logical,
     eta_constant,
     gate_infidelity,
-    phase_integral,
     propagate_two_qubit,
     tune_closure,
     x_gate_phase,

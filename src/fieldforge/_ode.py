@@ -1,30 +1,27 @@
-"""Shared unitary integration helpers for time-dependent Hamiltonians."""
+"""The one time propagator for time-dependent Hamiltonians."""
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure
 
+ATOL = 1e-14
 
-def propagate_state(h_func, psi0, t0, t1, rtol=1e-10, atol=1e-12, method="RK45"):
-    """Integrate i dpsi/dt = H(t) psi from t0 to t1."""
-    psi0 = np.asarray(psi0, dtype=complex)
+
+def evolve(h, y0, t0, t1, rtol):
+    """Integrate i dY/dt = H(t) Y from t0 to t1 with DOP853.
+
+    y0 is a state vector or a matrix whose columns evolve together (y0 = I
+    gives the propagator).  Returns Y(t1) with the shape of y0.
+    """
+    y0 = np.asarray(y0, dtype=complex)
+    shape = y0.shape
 
     def rhs(t, y):
-        return -1j * (h_func(t) @ y)
+        return (-1j * h(t) @ y.reshape(shape)).ravel()
 
-    sol = solve_ivp(rhs, (t0, t1), psi0, method=method, rtol=rtol, atol=atol)
+    sol = solve_ivp(rhs, (t0, t1), y0.ravel(), method="DOP853",
+                    rtol=rtol, atol=ATOL)
     if not sol.success:
         raise IntegrationFailure(sol.message)
-    return sol.y[:, -1]
-
-
-def propagate_unitary(h_func, dim, t0, t1, rtol=1e-10, atol=1e-12, method="DOP853"):
-    """Time-ordered exponential of -i H(t), column by column."""
-    cols = []
-    for k in range(dim):
-        e = np.zeros(dim, dtype=complex)
-        e[k] = 1.0
-        cols.append(propagate_state(h_func, e, t0, t1, rtol=rtol, atol=atol,
-                                    method=method))
-    return np.column_stack(cols)
+    return sol.y[:, -1].reshape(shape)

@@ -15,14 +15,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import quad
 from scipy.optimize import linear_sum_assignment
 
+from ._ode import evolve
 from .errors import (DegenerateGap, GapClosure, IntegrationFailure,
                      ValidationError)
 
 HERMITICITY_TOL = 1e-12
 GAP_FLOOR_FRACTION = 1e-8
+FULL_RTOL = 1e-12
 
 
 def gevrey_bump(s):
@@ -63,7 +65,6 @@ class TimeDependentHamiltonian:
     evaluator: Callable
     tau: float
     dds: Optional[Callable] = None   # analytic dH/ds if available
-    gevrey_order: Optional[float] = None
     gap_floor: Optional[float] = None  # None: 1e-8 x spectral range
 
     def __post_init__(self):
@@ -76,7 +77,8 @@ class TimeDependentHamiltonian:
         m = np.asarray(self.evaluator(s), dtype=complex)
         if m.shape != (self.dimension, self.dimension):
             raise ValidationError("evaluator shape mismatch")
-        if np.max(np.abs(m - m.conj().T)) > HERMITICITY_TOL * max(1.0, np.max(np.abs(m))):
+        # "not <=" also rejects NaN and inf entries
+        if not np.max(np.abs(m - m.conj().T)) <= HERMITICITY_TOL * max(1.0, np.max(np.abs(m))):
             raise ValidationError(f"H({s}) is not Hermitian")
         return m
 
@@ -135,28 +137,11 @@ class FrameTrajectory:
                 wr.writerow([f"{s:.17g}"] + [f"{e:.17g}" for e in row])
 
 
-@dataclass
-class LeakageBound:
-    dh_norm: float
-    gamma: float
-    epsilon: float
-    t: float
-
-    @property
-    def value(self):
-        return leakage_overlap_bound(self.dh_norm, self.gamma, self.epsilon, self.t)
-
-
 def leakage_overlap_bound(dh_norm, gamma, epsilon, t):
     """Overlap lower bound 1 - (||dH/dt||/gamma) epsilon t, clamped to [0,1]."""
     if gamma <= 0:
         raise ValidationError("need gamma > 0")
     return float(min(1.0, max(0.0, 1.0 - (dh_norm / gamma) * epsilon * t)))
-
-
-def _eig_sorted(h):
-    w, v = np.linalg.eigh(h)
-    return w, v
 
 
 def _fix_gauge(prev_v, w, v):
@@ -186,10 +171,10 @@ def build_frame_trajectory(system: TimeDependentHamiltonian, n_samples=1025):
     energies = np.empty((n_samples, d))
     vectors = np.empty((n_samples, d, d), dtype=complex)
     assignments = np.empty((n_samples, d), dtype=int)
-    w, v = _eig_sorted(system.h(0.0))
+    w, v = np.linalg.eigh(system.h(0.0))
     energies[0], vectors[0], assignments[0] = w, v, np.arange(d)
     for i in range(1, n_samples):
-        w, v = _eig_sorted(system.h(float(s_grid[i])))
+        w, v = np.linalg.eigh(system.h(float(s_grid[i])))
         w, v, perm = _fix_gauge(vectors[i - 1], w, v)
         energies[i], vectors[i], assignments[i] = w, v, perm
     return FrameTrajectory(s_grid, energies, vectors, assignments)
@@ -201,25 +186,20 @@ def frame_generator(system: TimeDependentHamiltonian, s, basis=None):
     basis: optional (energies, vectors) fixing the gauge; otherwise the
     energy-ordered eigenbasis at s is used (phases drop out of |M_jk|).
     """
-    h = system.h(float(s))
     if basis is None:
-        w, v = _eig_sorted(h)
+        w, v = np.linalg.eigh(system.h(float(s)))
     else:
         w, v = basis
     floor = system.resolved_gap_floor(w)
-    dh = system.dh_dt(float(s))
-    d = system.dimension
-    m = np.zeros((d, d), dtype=complex)
-    elem = v.conj().T @ dh @ v
-    for j in range(d):
-        m[j, j] = w[j]
-        for k in range(d):
-            if j == k:
-                continue
-            gap = w[j] - w[k]
-            if abs(gap) < floor:
-                raise DegenerateGap(f"levels {j},{k} within gap floor at s={s}")
-            m[j, k] = 1j * elem[j, k] / gap
+    elem = v.conj().T @ system.dh_dt(float(s)) @ v
+    gap = w[:, np.newaxis] - w[np.newaxis, :]
+    np.fill_diagonal(gap, np.inf)
+    close = np.argwhere(np.abs(gap) < floor)
+    if close.size:
+        j, k = close[0]
+        raise DegenerateGap(f"levels {j},{k} within gap floor at s={s}")
+    m = 1j * elem / gap
+    np.fill_diagonal(m, w)
     return m
 
 
@@ -245,7 +225,7 @@ def _reduced_propagator(system, trajectory, d):
     for i in range(len(s) - 1):
         smid = 0.5 * (s[i] + s[i + 1])
         ds = s[i + 1] - s[i]
-        w, v = _eig_sorted(system.h(float(smid)))
+        w, v = np.linalg.eigh(system.h(float(smid)))
         # re-gauge midpoint basis against the stored left sample
         w, v, _ = _fix_gauge(trajectory.vectors[i], w, v)
         m = frame_generator(system, smid, basis=(w, v))
@@ -255,12 +235,13 @@ def _reduced_propagator(system, trajectory, d):
 
 
 def propagate(system: TimeDependentHamiltonian, subspace_dim, mode="reduced",
-              n_samples=1025, rtol=1e-12, atol=1e-14):
+              n_samples=1025):
     """Propagate in the adiabatic frame over s in [0,1] (t in [0, tau]).
 
     reduced: integrates the tracked d x d block of M; requires the gap to
     level d+1 to stay positive.  full: integrates the exact Schrodinger
-    equation, re-expresses the propagator in the initial/final frames, and
+    equation for the whole propagator with DOP853 at the fixed relative
+    tolerance FULL_RTOL, re-expresses it in the initial/final frames, and
     reports the worst leakage norm out of the tracked subspace.
     """
     d = int(subspace_dim)
@@ -279,17 +260,8 @@ def propagate(system: TimeDependentHamiltonian, subspace_dim, mode="reduced",
         return PropagationResult(unitary=u, mode=mode, trajectory=traj,
                                  subspace_dim=d)
 
-    def rhs(t, y):
-        h = system.h(float(t / system.tau))
-        psi = y.reshape(system.dimension, system.dimension)
-        return (-1j * h @ psi).ravel()
-
-    y0 = np.eye(system.dimension, dtype=complex).ravel()
-    sol = solve_ivp(rhs, (0.0, system.tau), y0, method="DOP853",
-                    rtol=rtol, atol=atol)
-    if not sol.success:
-        raise IntegrationFailure(sol.message)
-    u_lab = sol.y[:, -1].reshape(system.dimension, system.dimension)
+    u_lab = evolve(lambda t: system.h(float(t / system.tau)),
+                   np.eye(system.dimension), 0.0, system.tau, FULL_RTOL)
     u_frame = traj.vectors[-1].conj().T @ u_lab @ traj.vectors[0]
     leak = 0.0
     if d < system.dimension:

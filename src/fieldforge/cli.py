@@ -215,6 +215,8 @@ def _cmd_passage(args):
 
 
 def _cmd_spectrum(args):
+    if args.points < 1:
+        raise ValidationError("--points must be at least 1")
     source = ChirpSource(omega0=args.omega0, kappa=args.kappa, T=args.big_t,
                          amplitude=args.amplitude)
     b = source.B

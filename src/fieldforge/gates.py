@@ -189,57 +189,6 @@ def calibrate_z_gate(theta, lambda_pt=2.0, tau=100.0, alpha0=1.0):
                  "target": theta})
 
 
-@dataclass(frozen=True)
-class WellTrajectory:
-    """Bump-modulated well parameters for a single-qubit gate.
-
-    Covers both gates: the Z gate modulates the Poschl-Teller scale as
-    alpha^2(s) = alpha0^2 (1 + beta B(s)), the X gate the QES barrier
-    parameter as b(s) = b_baseline + beta B(s).  B(0) = B(1) = 0, so both
-    schedules start and end at the idle configuration.
-    """
-
-    beta: float
-    tau: float
-    alpha0: float = 1.0
-    lambda_pt: float = 2.0
-    b_baseline: float = 1.0
-    g: float = 0.01
-
-    def __post_init__(self):
-        if self.tau <= 0:
-            raise ValidationError("need tau > 0")
-        if self.lambda_pt <= 1.0:
-            raise ValidationError("need lambda_pt > 1")
-
-    def alpha_sq(self, s):
-        return self.alpha0 ** 2 * (1.0 + self.beta * gevrey_bump(s))
-
-    def b_of(self, s):
-        return self.b_baseline + self.beta * gevrey_bump(s)
-
-
-def phase_integral(trajectory: WellTrajectory, kind, n_quad=2001):
-    """Accumulated energy integral along a single-qubit gate schedule.
-
-    kind "z": int (E0(t) - E0(0)) dt for the modulated Poschl-Teller ground
-    level.  kind "x": int (E2 - E1) dt of the QES doublet splitting.  The
-    exponent phase of the propagator is minus this value.
-    """
-    t = trajectory
-    if kind == "z":
-        def integrand(s):
-            return -(t.alpha_sq(s) - t.alpha0 ** 2) * (t.lambda_pt - 1.0) ** 2
-    elif kind == "x":
-        _check_b_schedule(t.beta, t.b_baseline)
-
-        def integrand(s):
-            return 2.0 * t.g * (2.0 * t.b_of(s) - 1.0) / (1.0 + t.g)
-    else:
-        raise ValidationError(f"unknown gate kind {kind!r}")
-    return t.tau * _bump_quadrature(integrand, n_quad)
-
-
 # --- two-qubit entangling gate on the six-state occupation subspace ---
 
 

@@ -46,6 +46,8 @@ def solve_bound_states(potential, grid=None, max_states=None, tail_tol=TAIL_TOL)
     potential's decay length and widens it (same spacing) until the
     shallowest kept state has decayed too.
     """
+    if max_states is not None and max_states < 1:
+        raise ValidationError("max_states must be at least 1")
     if grid is not None:
         return _solve_on_grid(potential, grid, max_states, tail_tol)
     grid = potential.default_grid()

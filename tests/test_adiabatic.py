@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
+from scipy.linalg import expm
 
+from fieldforge._ode import evolve
 from fieldforge.adiabatic import (TimeDependentHamiltonian, bump_integral,
                                   build_frame_trajectory, frame_generator,
                                   gevrey_bump, gevrey_derivative_check,
@@ -123,6 +125,62 @@ def test_frame_generator_degenerate_gap():
     system = TimeDependentHamiltonian(2, h, 1.0)
     with pytest.raises(DegenerateGap):
         frame_generator(system, 0.5)
+
+    def h4(s):
+        return np.diag([0.0, 1.0, 2.0, 2.0 + 1e-12]).astype(complex)
+
+    system = TimeDependentHamiltonian(4, h4, 1.0)
+    with pytest.raises(DegenerateGap, match="levels 2,3"):
+        frame_generator(system, 0.5)
+
+
+def _four_level(tau):
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    h0, h1 = a + a.conj().T, b + b.conj().T
+    return TimeDependentHamiltonian(4, lambda s: h0 + np.sin(3.0 * s) * h1,
+                                    tau, dds=lambda s: 3.0 * np.cos(3.0 * s) * h1)
+
+
+def test_frame_generator_matches_loop_oracle():
+    system = _four_level(6.0)
+    for s in (0.1, 0.45, 0.8):
+        m = frame_generator(system, s)
+        # oracle: the element-by-element form of the generator
+        w, v = np.linalg.eigh(system.h(s))
+        elem = v.conj().T @ system.dh_dt(s) @ v
+        oracle = np.zeros((4, 4), dtype=complex)
+        for j in range(4):
+            oracle[j, j] = w[j]
+            for k in range(4):
+                if j != k:
+                    oracle[j, k] = 1j * elem[j, k] / (w[j] - w[k])
+        assert m.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_hamiltonian_rejected(bad):
+    system = TimeDependentHamiltonian(2, lambda s: np.full((2, 2), bad), 1.0)
+    with pytest.raises(ValidationError):
+        system.h(0.5)
+
+
+def test_evolve_matches_expm_for_constant_hamiltonian():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    h0 = a + a.conj().T
+    t0, t1 = 0.3, 2.1
+    u = expm(-1j * h0 * (t1 - t0))
+    psi0 = np.array([0.6, 0.8j, 0.0])
+    psi = evolve(lambda t: h0, psi0, t0, t1, 1e-12)
+    assert psi.shape == (3,)
+    np.testing.assert_allclose(psi, u @ psi0, rtol=0.0, atol=1e-10)
+    cols = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+    out = evolve(lambda t: h0, cols, t0, t1, 1e-12)
+    assert out.shape == (3, 2)
+    np.testing.assert_allclose(out, u @ cols, rtol=0.0, atol=1e-10)
 
 
 def test_static_hamiltonian_phases():

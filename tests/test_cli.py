@@ -260,6 +260,24 @@ def test_malformed_json_exits_three(capsys, tmp_path, circuit, config):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["eigensolve", "--potential", "poschl-teller", "--alpha", "1",
+     "--lam", "3", "--max-states", "-1"],
+    ["eigensolve", "--potential", "poschl-teller", "--alpha", "1",
+     "--lam", "3", "--max-states", "0"],
+    ["spectrum", "--omega0", "10", "--kappa", "1", "--big-t", "5",
+     "--points", "-1"],
+    ["spectrum", "--omega0", "10", "--kappa", "1", "--big-t", "5",
+     "--points", "0"],
+], ids=["max-states-negative", "max-states-zero", "points-negative",
+        "points-zero"])
+def test_nonpositive_counts_exit_three(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_integral_floats_load_as_integers(tmp_path):
     gates = [{"kind": "xrot", "qubits": [1], "angle": 0.3},
              {"kind": "entangling", "qubits": [0, 1], "alpha": 0.1, "beta": 0.2}]

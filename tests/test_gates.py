@@ -11,11 +11,10 @@ from fieldforge.adiabatic import gevrey_bump
 from fieldforge.errors import (DimensionMismatch, NoClosure,
                                SolvabilityViolated, ValidationError)
 from fieldforge.gates import (BASIS_LABELS, TwoQubitSchedule,
-                              WellPairTrajectory, WellTrajectory,
-                              calibrate_entangling, calibrate_x_gate,
-                              calibrate_z_gate, coefficients_from_wells,
-                              entangling_check, eta_constant, extract_logical,
-                              gate_infidelity, phase_integral,
+                              WellPairTrajectory, calibrate_entangling,
+                              calibrate_x_gate, calibrate_z_gate,
+                              coefficients_from_wells, entangling_check,
+                              eta_constant, extract_logical, gate_infidelity,
                               propagate_two_qubit, tune_closure, x_gate_phase,
                               z_gate_beta)
 from fieldforge.potentials import Grid, QESDoubleWell, Tabulated
@@ -75,17 +74,6 @@ def test_solvability_floor():
         x_gate_phase(0.01, -1.0, 10.0)
     # b dips below 1 only by ~beta e^-4; positive beta never violates
     assert x_gate_phase(0.01, 1.0, 10.0) > 0.0
-
-
-def test_well_trajectory_phase_integrals():
-    traj = WellTrajectory(beta=30.0, tau=50.0)
-    z_phase = phase_integral(traj, "z")
-    assert z_phase == pytest.approx(-50.0 * 30.0 * ETA, rel=1e-10)
-    x_phase = phase_integral(traj, "x")
-    assert x_phase == pytest.approx(
-        x_gate_phase(traj.g, 30.0, 50.0), rel=1e-12)
-    with pytest.raises(ValidationError):
-        phase_integral(traj, "y")
 
 
 def test_doublet_parity_selection():

@@ -10,6 +10,15 @@ from fieldforge.passage import (CONDITION_NAMES, TwoLevelSweep,
                                 rwa_error_bound, scale_parameters)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["omega0", "Omega", "B", "T"])
+def test_sweep_rejects_non_finite(field, bad):
+    params = {"omega0": 100.0, "Omega": 1.0, "B": 1.0, "T": 20.0}
+    params[field] = bad
+    with pytest.raises(ValidationError):
+        TwoLevelSweep(**params)
+
+
 def test_ladder_exponents():
     eps = 0.2
     sp = scale_parameters(eps)
