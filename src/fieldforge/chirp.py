@@ -121,10 +121,14 @@ class ChirpSource:
     amplitude: float = None
 
     def __post_init__(self):
-        if self.T <= 0:
-            raise ValidationError("need T > 0")
-        if self.kappa < 0:
-            raise ValidationError("need kappa >= 0")
+        if not 0 < self.T < math.inf:
+            raise ValidationError("need finite T > 0")
+        if not 0 <= self.kappa < math.inf:
+            raise ValidationError("need finite kappa >= 0")
+        if not math.isfinite(self.omega0):
+            raise ValidationError("need finite omega0")
+        if self.amplitude is not None and not math.isfinite(self.amplitude):
+            raise ValidationError("need a finite amplitude")
 
     @property
     def B(self):

@@ -3,10 +3,14 @@
 The compiled artifact is a sampled spacetime pair (J1, J2) plus window
 annotations: a smooth turn-on of the double-well layout, one chirped J1
 preparation pulse per qubit, one well-trajectory window per gate, the
-time-reversed preparation, and the turn-off.  J1 is built as the forward
-pulse train minus its own time reversal, so the antisymmetry
-J1(T_total - t) = -J1(t) holds sample-wise and bit-exactly on the
-(symmetric) time grid.
+time-reversed preparation, and the turn-off.  Both fields are built from
+their separable factors.  J1 is the outer product
+(pulse(t) - pulse(T_total - t)) x S(x), with S the sum of the qubits'
+left-well Gaussians; float negation is exact, so the antisymmetry
+J1(T_total - t) = -J1(t) holds bit-exactly on the (symmetric) time grid.
+J2 is envelope(t) x layout(x), and each gate window adds its local
+deformation in place on its own rows.  The artifact keeps only the dense
+grids, which is what the field file stores.
 
 Gate windows carry the calibration records produced by the gates module;
 simulate_schedule replays those records at the gate-model level rather
@@ -34,6 +38,7 @@ from .circuits import GateSpec, LogicalCircuit, _embed, insert_swaps
 from .errors import BudgetExceeded, InfeasibleGate, ValidationError
 from .gates import (
     WellPairTrajectory,
+    _gaussian,
     calibrate_entangling,
     calibrate_x_gate,
     calibrate_z_gate,
@@ -60,10 +65,14 @@ class ScalingConfig:
     sample_cap: int = 24_000_000
 
     def __post_init__(self):
-        if self.oversampling < 1.0:
-            raise ValidationError("oversampling must be >= 1")
-        if self.sample_cap < 1:
-            raise ValidationError("sample_cap must be positive")
+        for name in ("prep_prefactor", "gate_prefactor", "volume_prefactor",
+                     "bits_prefactor", "lambda_prefactor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and positive")
+        if not 1.0 <= self.oversampling < math.inf:
+            raise ValidationError("oversampling must be finite and >= 1")
+        if not (self.sample_cap >= 1 and float(self.sample_cap).is_integer()):
+            raise ValidationError("sample_cap must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -82,7 +91,7 @@ class ResourceEstimate:
     def __post_init__(self):
         for name in ("lam", "t_prep", "gate_time", "total_gate_time",
                      "volume", "bit_count"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
         pref = self.config.get("lambda_prefactor", 1.0)
         if self.lam * max(self.gate_count, 1) > pref * (1.0 + 1e-12):
@@ -90,6 +99,9 @@ class ResourceEstimate:
 
     @classmethod
     def from_counts(cls, n_qubits, gate_count, depth, config: ScalingConfig):
+        if not (n_qubits >= 1 and gate_count >= 0 and depth >= 0):
+            raise ValidationError(
+                "need n_qubits >= 1 and non-negative gate count and depth")
         g = max(gate_count, 1)
         lam = config.lambda_prefactor / g
         gate_time = config.gate_prefactor / lam ** 2
@@ -125,14 +137,22 @@ class CompileParams:
 
     def resolved(self):
         m = self.m
-        if m <= 0:
-            raise ValidationError("need m > 0")
+        if not 0 < m < math.inf:
+            raise ValidationError("need finite m > 0")
         depth = self.well_depth if self.well_depth is not None else 0.4 * m * m
         if not 0 < depth < 0.5 * m * m:
             raise ValidationError("well depth must lie in (0, m^2/2)")
         width = self.well_width if self.well_width is not None else 1.0 / m
         intra = self.intra_spacing if self.intra_spacing is not None else 4.0 / m
         tau_z = self.tau_z if self.tau_z is not None else 40.0 / m
+        for name, value in (("well_width", width), ("intra_spacing", intra),
+                            ("tau_z", tau_z), ("g_qes", self.g_qes)):
+            if not 0 < value < math.inf:
+                raise ValidationError(f"{name} must be finite and positive")
+        if not 0 <= self.entangling_tol < math.inf:
+            raise ValidationError("entangling_tol must be finite and >= 0")
+        if not (math.isfinite(self.beta_x) and math.isfinite(self.lam_gate)):
+            raise ValidationError("beta_x and lam_gate must be finite")
         return m, depth, width, intra, tau_z
 
 
@@ -173,10 +193,10 @@ class ScheduleWindow:
 
 @dataclass
 class CompiledFields:
-    t: np.ndarray
-    x: np.ndarray
-    j1: np.ndarray            # shape (nt, nx)
-    j2: np.ndarray
+    t: np.ndarray             # (nt,), symmetric: t[nt-1-i] = t[-1] - t[i]
+    x: np.ndarray             # (nx,)
+    j1: np.ndarray            # (nt, nx): pulse difference x left-well profile
+    j2: np.ndarray            # (nt, nx): envelope x layout, plus gate windows
     windows: list
     resources: ResourceEstimate
     params: dict
@@ -205,8 +225,8 @@ class CompiledFields:
                   encoding="utf-8") as fh:
             json.dump(header, fh, indent=2)
         with open(os.path.join(out_dir, basename + ".bin"), "wb") as fh:
-            fh.write(self.j1.astype("<f8", copy=False).tobytes())
-            fh.write(self.j2.astype("<f8", copy=False).tobytes())
+            for values in (self.j1, self.j2):
+                np.ascontiguousarray(values, "<f8").tofile(fh)
         if csv_fallback:
             self.save_csv(os.path.join(out_dir, basename + ".csv"))
 
@@ -239,11 +259,10 @@ class CompiledFields:
             raise ValidationError("unknown field file format version")
         nt, nx = header["nt"], header["nx"]
         with open(os.path.join(out_dir, header["payload"]), "rb") as fh:
-            raw = np.frombuffer(fh.read(), dtype="<f8")
-        if raw.size != 2 * nt * nx:
-            raise ValidationError("payload size does not match header")
-        j1 = raw[:nt * nx].reshape(nt, nx).copy()
-        j2 = raw[nt * nx:].reshape(nt, nx).copy()
+            if os.fstat(fh.fileno()).st_size != 2 * nt * nx * 8:
+                raise ValidationError("payload size does not match header")
+            j1 = np.fromfile(fh, "<f8", nt * nx).reshape(nt, nx)
+            j2 = np.fromfile(fh, "<f8", nt * nx).reshape(nt, nx)
         # linspace reconstruction is bit-exact against the writer's grids
         t = np.linspace(header["t0"], header["t1"], nt)
         x = np.linspace(header["x0"], header["x1"], nx)
@@ -370,77 +389,66 @@ def compile(circuit: LogicalCircuit, params: CompileParams = None,
     t = np.linspace(0.0, t_total, nt)
     x = np.linspace(x0, x1, nx)
 
-    # static layout: one double well per qubit
-    layout = np.zeros(nx)
-    for cq in centers:
-        for sgn in (-1.0, 1.0):
-            layout += -depth * np.exp(-(x - (cq + sgn * intra / 2.0)) ** 2
-                                      / (2.0 * width ** 2))
+    def well(center):
+        return -depth * _gaussian(x, center, width)
+
+    # static layout: one double well per qubit, wells[q] = (left, right)
+    wells = np.stack([centers - intra / 2.0, centers + intra / 2.0], axis=1)
+    layout = sum(map(well, wells.ravel()))
 
     windows = []
 
-    # J2 envelope: switch on over the first window, off over the last
+    # J2 = envelope (x) layout, switched on over the first window and off
+    # over the last; gate windows add their local terms below
     ramp_up = t < edges[1]
     ramp_down = t > edges[-2]
     envelope = np.ones(nt)
     envelope[ramp_up] = _switch(t[ramp_up] / t_ramp)
     envelope[ramp_down] = _switch((t_total - t[ramp_down]) / t_ramp)
-    j2 = envelope[:, None] * layout[None, :]
+    j2 = np.outer(envelope, layout)
     windows.append(ScheduleWindow("j2_rampup", float(edges[0]),
                                   float(edges[1])))
 
-    # forward prep: chirped J1 pulse centered in each qubit's left well;
-    # J1 = forward - time-reversal, making the antisymmetry exact
+    # prep: chirped J1 pulse centered in each qubit's left well, minus its
+    # time reversal; negation is exact, so J1(T - t) = -J1(t) bit for bit
     prep_t0, prep_t1 = float(edges[1]), float(edges[2])
     sel = (t >= prep_t0) & (t <= prep_t1)
     pulse = np.zeros(nt)
     pulse[sel] = chirp(t[sel] - prep_t0 - t_prep / 2.0)
-    j1_forward = np.zeros((nt, nx))
-    for cq in centers:
-        spatial = np.exp(-(x - (cq - intra / 2.0)) ** 2 / (2.0 * width ** 2))
-        j1_forward += pulse[:, None] * spatial[None, :]
-    j1 = j1_forward - j1_forward[::-1]
+    profile = sum(_gaussian(x, c, width) for c in wells[:, 0])
+    j1 = np.outer(pulse - pulse[::-1], profile)
     prep_bound = sp.epsilon_used  # passage error bound with unit prefactor
     windows.append(ScheduleWindow(
         "prep", prep_t0, prep_t1, tuple(range(n)),
         {"eps": sp.epsilon_used, "g": sp.g, "lam_source": sp.lam,
          "B": sp.B, "T": sp.T, "prep_infidelity_bound": prep_bound}))
 
-    # gate windows: J2 deformations plus calibration annotations
+    # gate windows: J2 deformations on the window's rows (t >= w0, t < w1)
+    # plus calibration annotations
     for k, (gate, cal, dur) in enumerate(gate_entries):
         w0, w1 = float(edges[2 + k]), float(edges[3 + k])
-        sel = (t >= w0) & (t < w1)
-        s_local = (t[sel] - w0) / dur if dur > 0 else t[sel] * 0.0
+        rows = slice(*np.searchsorted(t, (w0, w1)))
+        s_local = (t[rows] - w0) / dur if dur > 0 else t[rows] * 0.0
         bump = gevrey_bump(s_local)
         if gate.kind == "zrot":
             # deepen the occupied (left) well of the target qubit
-            cq = centers[gate.qubits[0]]
-            spatial = -depth * np.exp(-(x - (cq - intra / 2.0)) ** 2
-                                      / (2.0 * width ** 2))
             amp = abs(cal.parameter_value) / 50.0
-            j2[sel] += amp * bump[:, None] * spatial[None, :]
+            j2[rows] += np.outer(amp * bump, well(wells[gate.qubits[0], 0]))
         elif gate.kind == "xrot":
             # lower the barrier between the target qubit's wells
-            cq = centers[gate.qubits[0]]
-            spatial = depth * np.exp(-(x - cq) ** 2
-                                     / (2.0 * (width / 2.0) ** 2))
-            j2[sel] += (params.beta_x / 100.0) * bump[:, None] * spatial[None, :]
+            barrier = depth * _gaussian(x, centers[gate.qubits[0]], width / 2.0)
+            j2[rows] += np.outer((params.beta_x / 100.0) * bump, barrier)
         else:
             # move the facing center wells of the qubit pair toward each other
             qa, qb = sorted(gate.qubits)
-            ca = centers[qa] + intra / 2.0
-            cb = centers[qb] - intra / 2.0
-            reach = 0.3 * (cb - ca)
-            shift = reach * bump / gevrey_bump(0.5)
-            well_a = -depth * np.exp(
-                -(x[None, :] - (ca + shift[:, None])) ** 2
-                / (2.0 * width ** 2))
-            well_b = -depth * np.exp(
-                -(x[None, :] - (cb - shift[:, None])) ** 2
-                / (2.0 * width ** 2))
-            base_a = -depth * np.exp(-(x - ca) ** 2 / (2.0 * width ** 2))
-            base_b = -depth * np.exp(-(x - cb) ** 2 / (2.0 * width ** 2))
-            j2[sel] += (well_a - base_a[None, :]) + (well_b - base_b[None, :])
+            ca, cb = wells[qa, 1], wells[qb, 0]
+            shift = (0.3 * (cb - ca)) * bump[:, None] / gevrey_bump(0.5)
+            moved_a = well(ca + shift)
+            moved_a -= well(ca)
+            moved_b = well(cb - shift)
+            moved_b -= well(cb)
+            moved_a += moved_b
+            j2[rows] += moved_a
         note = {"angle": gate.angle, "alpha": gate.alpha, "beta": gate.beta}
         windows.append(ScheduleWindow(
             f"gate:{gate.kind}", w0, w1, gate.qubits,

@@ -19,6 +19,7 @@ from scipy.sparse.linalg import eigsh
 from .errors import (DimensionMismatch, GridTooLarge, InfeasibleNulling,
                      UnstableVacuum, ValidationError)
 from .potentials import Grid
+from .schrodinger import _fix_signs
 
 ORTHONORMALITY_TOL = 1e-8
 FEWBODY_BUDGET = 256 ** 2  # dense/sparse dimension cap: 2 particles x 256 points
@@ -82,11 +83,7 @@ def mode_decomposition(j2, m, grid: Grid, n_continuum=0):
         raise UnstableVacuum(f"mode with omega^2 = {w2_modes[0]}")
     psis = np.zeros((n_keep, grid.n))
     psis[:, 1:-1] = (vecs[:, :n_keep] / np.sqrt(dx)).T
-    # sign convention: positive at the leftmost largest-magnitude sample;
-    # the tolerance makes mirror-image peaks of odd modes a tie
-    mag = np.abs(psis)
-    first = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=1, keepdims=True), axis=1)
-    psis[psis[np.arange(n_keep), first] < 0] *= -1.0
+    _fix_signs(psis)
     return ModeBasis(np.sqrt(w2_modes[:n_keep]), psis, n_bound, float(m), j2, grid)
 
 

@@ -73,10 +73,12 @@ def z_gate_beta(theta, lambda_pt=2.0, tau=100.0, alpha0=1.0, n_quad=2001):
     Returns the amplitude together with the phase integral re-evaluated by
     direct quadrature of the modulated energy.
     """
-    if lambda_pt <= 1.0:
-        raise ValidationError("Poschl-Teller qubit needs lambda_pt > 1")
-    if tau <= 0:
-        raise ValidationError("need tau > 0")
+    if not 1.0 < lambda_pt < math.inf:
+        raise ValidationError("Poschl-Teller qubit needs finite lambda_pt > 1")
+    if not 0 < tau < math.inf:
+        raise ValidationError("need finite tau > 0")
+    if not (math.isfinite(theta) and math.isfinite(alpha0)):
+        raise ValidationError("need finite theta and alpha0")
     scale = (lambda_pt - 1.0) ** 2 * tau * alpha0 ** 2
     beta = -theta / (scale * eta_constant())
 
@@ -104,10 +106,12 @@ def x_gate_phase(g, beta, tau, include_idle=True, b_baseline=1.0):
     the splitting counts toward the phase; without it only the bump-driven
     excess does.  Linear in tau either way.
     """
-    if g <= 0:
-        raise ValidationError("need g > 0")
-    if tau <= 0:
-        raise ValidationError("need tau > 0")
+    if not 0 < g < math.inf:
+        raise ValidationError("need finite g > 0")
+    if not 0 < tau < math.inf:
+        raise ValidationError("need finite tau > 0")
+    if not (math.isfinite(beta) and math.isfinite(b_baseline)):
+        raise ValidationError("need finite beta and b_baseline")
     _check_b_schedule(beta, b_baseline)
     rate = 2.0 * g / (1.0 + g)
     idle = (2.0 * b_baseline - 1.0) if include_idle else 0.0
@@ -150,6 +154,8 @@ def calibrate_x_gate(g, beta, target=math.pi, include_idle=True,
     the defect of an independent fixed-grid quadrature of the instantaneous
     splitting at the solved duration.
     """
+    if not math.isfinite(target):
+        raise ValidationError("need a finite target phase")
     rate_at_unit_tau = x_gate_phase(g, beta, 1.0, include_idle=include_idle,
                                     b_baseline=b_baseline)
     if rate_at_unit_tau == 0.0:
@@ -373,9 +379,14 @@ class WellPairTrajectory:
         return self.ell_max - reach * gevrey_bump(s)
 
 
+def _gaussian(x, center, width):
+    """Unit-height Gaussian well shape exp(-(x - center)^2 / (2 width^2))."""
+    return np.exp(-(x - center) ** 2 / (2.0 * width ** 2))
+
+
 def _well_pair_potential(x, separation, depth, width):
-    return -depth * (np.exp(-(x - separation / 2.0) ** 2 / (2.0 * width ** 2))
-                     + np.exp(-(x + separation / 2.0) ** 2 / (2.0 * width ** 2)))
+    return -depth * (_gaussian(x, separation / 2.0, width)
+                     + _gaussian(x, -separation / 2.0, width))
 
 
 def coefficients_from_wells(trajectory: WellPairTrajectory, lam, m,
@@ -402,8 +413,7 @@ def coefficients_from_wells(trajectory: WellPairTrajectory, lam, m,
     contact, v_attr = effective_potential(np.arange(n_grid) * dx, m, lam)
 
     # singly-occupied reference: one isolated well
-    iso = Tabulated(x, -t.depth * np.exp(-x ** 2 / (2.0 * t.width ** 2)),
-                    units=natural(m))
+    iso = Tabulated(x, -t.depth * _gaussian(x, 0.0, t.width), units=natural(m))
     e_iso = solve_bound_states(iso, grid=grid, max_states=1,
                                tail_tol=1e-5).energies[0]
 

@@ -21,8 +21,10 @@ class Grid:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size < 8:
             raise ValidationError("grid must be a 1d array with at least 8 points")
+        if not np.all(np.isfinite(x)):
+            raise ValidationError("grid points must be finite")
         dx = np.diff(x)
-        if np.any(dx <= 0):
+        if not np.all(dx > 0):
             raise ValidationError("grid must be strictly increasing")
         if np.max(np.abs(dx - dx.mean())) > 1e-9 * dx.mean():
             raise ValidationError("grid must be uniform")
@@ -83,10 +85,10 @@ class PoschlTeller(Potential):
     """
 
     def __init__(self, alpha, lam):
-        if alpha <= 0:
-            raise ValidationError("alpha must be positive")
-        if lam <= 1:
-            raise ValidationError("need lam > 1 for an attractive well")
+        if not 0 < alpha < np.inf:
+            raise ValidationError("alpha must be finite and positive")
+        if not 1 < lam < np.inf:
+            raise ValidationError("need finite lam > 1 for an attractive well")
         self.alpha = float(alpha)
         self.lam = float(lam)
         self.units = UNIT_KINETIC
@@ -117,8 +119,8 @@ class QESDoubleWell(Potential):
         # the printed solvability inequality b > g/(2(1+g)) + 1 excludes
         # the b = 1 baseline the gate schedules use, so only positivity
         # is enforced here; see strict_solvability()
-        if g <= 0 or b <= 0:
-            raise ValidationError("need g > 0 and b > 0")
+        if not (0 < g < np.inf and 0 < b < np.inf):
+            raise ValidationError("need finite g > 0 and b > 0")
         self.g = float(g)
         self.b = float(b)
         self.units = UNIT_KINETIC

@@ -39,7 +39,8 @@ def solve_bound_states(potential, grid=None, max_states=None, tail_tol=TAIL_TOL)
     """Finite-difference bound spectrum of -c u'' + V u = E u.
 
     Second-order central differences with hard walls at the grid ends.
-    Bound means E below the potential's asymptote.  Raises NoBoundStates
+    Bound means E below the potential's asymptote.  Each state is positive
+    at its leftmost largest-magnitude sample.  Raises NoBoundStates
     when nothing lies below, BoxTooSmall when a returned state has not
     decayed at the boundary (relative tail above tail_tol).  An explicit
     grid is used as given; with grid=None the solver picks one from the
@@ -84,21 +85,30 @@ def _solve_on_grid(potential, grid, max_states, tail_tol):
         w, vecs = w[:max_states], vecs[:, :max_states]
 
     psis = np.zeros((w.size, x.size))
-    for k in range(w.size):
-        psi = np.zeros(x.size)
-        psi[1:-1] = vecs[:, k]
-        norm = np.sqrt(np.trapezoid(psi ** 2, x))
-        psi /= norm
-        imax = np.argmax(np.abs(psi))
-        if psi[imax] < 0:
-            psi = -psi
-        tail = max(abs(psi[1]), abs(psi[-2])) / np.abs(psi).max()
-        if tail > tail_tol:
-            raise BoxTooSmall(
-                f"state {k}: boundary amplitude {tail:.2e} exceeds {tail_tol:.0e}"
-            )
-        psis[k] = psi
+    psis[:, 1:-1] = vecs.T
+    psis /= np.sqrt(np.trapezoid(psis ** 2, x, axis=1))[:, None]
+    _fix_signs(psis)
+    mag = np.abs(psis)
+    tails = np.maximum(mag[:, 1], mag[:, -2]) / mag.max(axis=1)
+    bad = np.flatnonzero(tails > tail_tol)
+    if bad.size:
+        k = bad[0]
+        raise BoxTooSmall(
+            f"state {k}: boundary amplitude {tails[k]:.2e} exceeds {tail_tol:.0e}"
+        )
     return BoundStates(w, psis, grid, potential)
+
+
+def _fix_signs(psis):
+    """Make each row positive at its leftmost largest-magnitude sample.
+
+    The tolerance makes the mirror-image peaks of an odd state a tie, so
+    the sign does not depend on rounding when the potential is symmetric.
+    Flips rows of psis in place.
+    """
+    mag = np.abs(psis)
+    first = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=1, keepdims=True), axis=1)
+    psis[psis[np.arange(len(psis)), first] < 0] *= -1.0
 
 
 def exact_energies(potential):

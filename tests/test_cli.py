@@ -233,21 +233,30 @@ def test_bad_inputs_exit_three(capsys, tmp_path):
     assert "seed" in err
 
 
+XROT = {"n_qubits": 1, "gates": [{"kind": "xrot", "qubits": [0]}]}
+
+
 @pytest.mark.parametrize("circuit,config", [
     ({"n_qubits": 2, "gates": [1]}, None),
     ({"n_qubits": 2, "gates": [{"kind": "xrot", "qubits": ["a"]}]}, None),
     ({"n_qubits": 2, "gates": [{"kind": "xrot", "qubits": [0],
                                 "angle": "pi"}]}, None),
-    ({"n_qubits": 1, "gates": [{"kind": "xrot", "qubits": [0]}]},
-     {"params": {"m": "1"}}),
-    ({"n_qubits": 1, "gates": [{"kind": "xrot", "qubits": [0]}]},
-     {"params": {"m": None}}),
+    (XROT, {"params": {"m": "1"}}),
+    (XROT, {"params": {"m": None}}),
     ({"n_qubits": 2, "gates": [{"kind": "xrot", "qubits": [1.5]}]}, None),
     ({"n_qubits": 2, "gates": [{"kind": "xrot", "qubits": [True]}]}, None),
     ({"n_qubits": "2", "gates": [{"kind": "xrot", "qubits": [0]}]}, None),
+    # json.load accepts NaN and Infinity
+    (XROT, {"scaling": {"sample_cap": math.nan}}),
+    (XROT, {"scaling": {"sample_cap": 2.5}}),
+    (XROT, {"scaling": {"oversampling": math.nan}}),
+    (XROT, {"scaling": {"gate_prefactor": math.inf}}),
+    (XROT, {"params": {"well_width": math.nan}}),
+    (XROT, {"params": {"m": math.inf}}),
 ], ids=["gate-not-object", "qubit-not-integer", "angle-not-number",
         "param-not-number", "param-null", "qubit-fractional", "qubit-bool",
-        "n-qubits-string"])
+        "n-qubits-string", "sample-cap-nan", "sample-cap-fractional",
+        "oversampling-nan", "prefactor-inf", "well-width-nan", "m-inf"])
 def test_malformed_json_exits_three(capsys, tmp_path, circuit, config):
     path = tmp_path / "circ.json"
     path.write_text(json.dumps(circuit))
@@ -276,6 +285,30 @@ def test_nonpositive_counts_exit_three(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--omega0", "nan", "--kappa", "1", "--big-t", "5",
+     "--points", "3"],
+    ["eigensolve", "--potential", "poschl-teller", "--alpha", "nan"],
+    ["eigensolve", "--potential", "poschl-teller", "--lam", "nan"],
+    ["eigensolve", "--potential", "qes", "--g", "nan"],
+    ["eigensolve", "--potential", "qes", "--b", "nan"],
+    ["eigensolve", "--potential", "poschl-teller", "--half-width", "nan"],
+    ["estimate-resources", "--qubits", "2", "--gates", "-3", "--depth", "2"],
+    ["estimate-resources", "--qubits", "2", "--gates", "3", "--depth", "-2"],
+    ["calibrate", "z", "--tau", "nan"],
+    ["calibrate", "x", "--beta", "nan"],
+    ["calibrate", "x", "--g", "nan"],
+], ids=["spectrum-omega0", "pt-alpha", "pt-lam", "qes-g", "qes-b",
+        "half-width", "gates-negative", "depth-negative", "z-tau", "x-beta",
+        "x-g"])
+def test_nan_and_negative_inputs_exit_three(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "infidelity" not in err  # rejected before any calibration runs
 
 
 def test_integral_floats_load_as_integers(tmp_path):

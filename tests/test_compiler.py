@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,11 +258,46 @@ def test_load_rejects_corrupt_files(compiled, tmp_path):
     with pytest.raises(ValidationError):
         CompiledFields.load(tmp_path)
     compiled.save(tmp_path)
+    os.truncate(tmp_path / "fields.bin", 2 * compiled.j1.nbytes - 8)
+    with pytest.raises(ValidationError):
+        CompiledFields.load(tmp_path)
+    compiled.save(tmp_path)
     header = json.loads((tmp_path / "fields.json").read_text())
     header["format_version"] = 99
     (tmp_path / "fields.json").write_text(json.dumps(header))
     with pytest.raises(ValidationError):
         CompiledFields.load(tmp_path)
+
+
+def test_field_build_and_file_io_peak_memory(tmp_path):
+    # the fields are built as outer products of their factors and the
+    # payload moves through the arrays' own buffers, so beyond the two
+    # (nt, nx) fields themselves only gate-window rows are allocated
+    circuit = LogicalCircuit(3, (
+        GateSpec("xrot", (0,), angle=1.0),
+        GateSpec("entangling", (0, 1), alpha=ALPHA, beta=BETA),
+        GateSpec("zrot", (2,), angle=0.3),
+    ))
+    tracemalloc.start()
+    try:
+        fields = compile(circuit)
+        _, compile_peak = tracemalloc.get_traced_memory()
+        field_bytes = fields.j1.nbytes
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fields.save(tmp_path)
+        _, save_peak = tracemalloc.get_traced_memory()
+        del fields
+        before_load, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        CompiledFields.load(tmp_path)
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert field_bytes > 10e6  # a grid large enough to dominate the peaks
+    assert compile_peak <= 2.5 * field_bytes
+    assert save_peak - before < 0.01 * 2 * field_bytes
+    assert load_peak - before_load <= 2.1 * field_bytes
 
 
 def test_extent_grows_near_linearly():

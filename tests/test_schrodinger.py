@@ -62,6 +62,25 @@ def test_box_too_small_explicit_grid():
         solve_bound_states(PoschlTeller(1.0, 4.0), grid=Grid.symmetric(6.3, 801))
 
 
+def test_box_too_small_names_first_failing_state():
+    # on this grid states 1 and 2 both reach the wall; the message names 1
+    with pytest.raises(BoxTooSmall, match=r"^state 1: boundary amplitude"):
+        solve_bound_states(PoschlTeller(1.0, 4.0), grid=Grid.symmetric(6.3, 801))
+
+
+@pytest.mark.parametrize("n", [2001, 2003, 2005, 2011, 2027, 2047, 2059])
+def test_odd_state_positive_on_left_peak(n):
+    # the two peaks of the odd state tie in magnitude, so an argmax rule
+    # would pick the sign by rounding and flip it between these grids
+    states = solve_bound_states(PoschlTeller(1.0, 3.0),
+                                grid=Grid.symmetric(25.0, n))
+    x, psi = states.grid.x, states.wavefunctions[1]
+    left = np.argmax(np.abs(psi) * (x < 0))
+    right = np.argmax(np.abs(psi) * (x > 0))
+    assert psi[left] > 0 > psi[right]
+    assert states.wavefunctions[0][x.size // 2] > 0
+
+
 def test_auto_grid_widens_for_shallow_states():
     pt = PoschlTeller(1.0, 4.0)
     states = solve_bound_states(pt)   # default grid sized for the ground state
