@@ -65,7 +65,6 @@ class TimeDependentHamiltonian:
     evaluator: Callable
     tau: float
     dds: Optional[Callable] = None   # analytic dH/ds if available
-    gap_floor: Optional[float] = None  # None: 1e-8 x spectral range
 
     def __post_init__(self):
         if self.dimension < 2:
@@ -82,7 +81,7 @@ class TimeDependentHamiltonian:
             raise ValidationError(f"H({s}) is not Hermitian")
         return m
 
-    def dh_ds(self, s, h_step=1e-3):
+    def dh_ds(self, s):
         """dH/ds: analytic when supplied, else a 4th-order 5-point stencil.
 
         The stencil shifts near the endpoints so every node stays in [0,1];
@@ -90,7 +89,7 @@ class TimeDependentHamiltonian:
         """
         if self.dds is not None:
             return np.asarray(self.dds(s), dtype=complex)
-        h = min(h_step, 0.25)
+        h = 1e-3  # stencil step in s
         offsets = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
         lo, hi = s + offsets[0] * h, s + offsets[-1] * h
         if lo < 0.0:
@@ -110,11 +109,11 @@ class TimeDependentHamiltonian:
     def dh_dt(self, s):
         return self.dh_ds(s) / self.tau
 
-    def resolved_gap_floor(self, energies):
-        if self.gap_floor is not None:
-            return self.gap_floor
-        spread = float(np.max(energies) - np.min(energies))
-        return GAP_FLOOR_FRACTION * max(spread, 1.0)
+
+def _gap_floor(energies):
+    """Smallest resolvable gap: GAP_FLOOR_FRACTION of the spectral range."""
+    spread = float(np.max(energies) - np.min(energies))
+    return GAP_FLOOR_FRACTION * max(spread, 1.0)
 
 
 @dataclass
@@ -122,7 +121,6 @@ class FrameTrajectory:
     s_samples: np.ndarray
     energies: np.ndarray       # (n_samples, d_total)
     vectors: np.ndarray        # (n_samples, d_total, d_total), columns
-    assignments: np.ndarray    # permutation applied at each sample
 
     def min_gap(self, d):
         """Smallest gap between tracked level d-1 and level d."""
@@ -156,7 +154,7 @@ def _fix_gauge(prev_v, w, v):
     diag = np.einsum("ij,ij->j", prev_v.conj(), v)
     phases = np.where(np.abs(diag) > 0, diag / np.abs(np.where(np.abs(diag) > 0, diag, 1.0)), 1.0)
     v = v / phases[np.newaxis, :]
-    return w, v, perm
+    return w, v
 
 
 def build_frame_trajectory(system: TimeDependentHamiltonian, n_samples=1025):
@@ -170,14 +168,12 @@ def build_frame_trajectory(system: TimeDependentHamiltonian, n_samples=1025):
     d = system.dimension
     energies = np.empty((n_samples, d))
     vectors = np.empty((n_samples, d, d), dtype=complex)
-    assignments = np.empty((n_samples, d), dtype=int)
     w, v = np.linalg.eigh(system.h(0.0))
-    energies[0], vectors[0], assignments[0] = w, v, np.arange(d)
+    energies[0], vectors[0] = w, v
     for i in range(1, n_samples):
         w, v = np.linalg.eigh(system.h(float(s_grid[i])))
-        w, v, perm = _fix_gauge(vectors[i - 1], w, v)
-        energies[i], vectors[i], assignments[i] = w, v, perm
-    return FrameTrajectory(s_grid, energies, vectors, assignments)
+        energies[i], vectors[i] = _fix_gauge(vectors[i - 1], w, v)
+    return FrameTrajectory(s_grid, energies, vectors)
 
 
 def frame_generator(system: TimeDependentHamiltonian, s, basis=None):
@@ -190,7 +186,7 @@ def frame_generator(system: TimeDependentHamiltonian, s, basis=None):
         w, v = np.linalg.eigh(system.h(float(s)))
     else:
         w, v = basis
-    floor = system.resolved_gap_floor(w)
+    floor = _gap_floor(w)
     elem = v.conj().T @ system.dh_dt(float(s)) @ v
     gap = w[:, np.newaxis] - w[np.newaxis, :]
     np.fill_diagonal(gap, np.inf)
@@ -227,7 +223,7 @@ def _reduced_propagator(system, trajectory, d):
         ds = s[i + 1] - s[i]
         w, v = np.linalg.eigh(system.h(float(smid)))
         # re-gauge midpoint basis against the stored left sample
-        w, v, _ = _fix_gauge(trajectory.vectors[i], w, v)
+        w, v = _fix_gauge(trajectory.vectors[i], w, v)
         m = frame_generator(system, smid, basis=(w, v))
         block = m[:d, :d]
         u = expm(-1j * system.tau * ds * block) @ u
@@ -251,7 +247,7 @@ def propagate(system: TimeDependentHamiltonian, subspace_dim, mode="reduced",
         raise ValidationError("mode must be reduced or full")
     traj = build_frame_trajectory(system, n_samples=n_samples)
     if d < system.dimension:
-        floor = system.resolved_gap_floor(traj.energies[0])
+        floor = _gap_floor(traj.energies[0])
         if traj.min_gap(d) < floor:
             raise GapClosure(f"gap to level {d} closed (min {traj.min_gap(d)})")
 

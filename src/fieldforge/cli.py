@@ -2,8 +2,9 @@
 
 Subcommands: eigensolve, passage, spectrum, calibrate (x|z|entangling),
 compile, verify, hadamard, estimate-resources.  Results go to stdout as
-JSON (or CSV with --format csv where a table makes sense); every float is
-printed with 17 significant digits so values round-trip exactly.
+JSON (or CSV with --format csv where a table makes sense).  JSON floats
+print as their shortest repr and CSV floats with 17 significant digits,
+so values round-trip exactly either way.
 
 Exit codes: 0 success, 2 promise_violated (hadamard decision), 3
 validation or verification failure.
@@ -50,38 +51,17 @@ def _fmt(x):
     return f"{float(x):.17g}"
 
 
-def render_json(obj, indent=0):
-    """JSON text with floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        rows = ",\n".join(f"{inner}{json.dumps(str(k))}: "
-                          f"{render_json(v, indent + 1)}"
-                          for k, v in obj.items())
-        return "{\n" + rows + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        if not seq:
-            return "[]"
-        rows = ",\n".join(f"{inner}{render_json(v, indent + 1)}" for v in seq)
-        return "[\n" + rows + "\n" + pad + "]"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if obj is None:
-        return "null"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt(obj)
+def _json_default(obj):
+    # numpy arrays and scalars as their Python values, complex as re/im
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
     if isinstance(obj, complex):
-        return render_json({"re": obj.real, "im": obj.imag}, indent)
-    return json.dumps(obj)
+        return {"re": obj.real, "im": obj.imag}
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(obj):
-    sys.stdout.write(render_json(obj) + "\n")
+    sys.stdout.write(json.dumps(obj, indent=2, default=_json_default) + "\n")
 
 
 def _emit_csv(columns):
@@ -250,7 +230,7 @@ def _cmd_calibrate(args):
     else:
         from .compiler import _entangling_window
         _, cal = _entangling_window(params)
-    _emit(json.loads(cal.to_json()))
+    _emit(cal.record())
     return 0
 
 

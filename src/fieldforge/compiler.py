@@ -37,6 +37,7 @@ from .chirp import ChirpSource
 from .circuits import GateSpec, LogicalCircuit, _embed, insert_swaps
 from .errors import BudgetExceeded, InfeasibleGate, ValidationError
 from .gates import (
+    BUMP_PEAK,
     WellPairTrajectory,
     _gaussian,
     calibrate_entangling,
@@ -163,8 +164,8 @@ def compute_sampling(t_total, extent, omega_max, m, oversampling=4.0):
     length 1/m, both oversampled.  At fixed (t_total, extent), doubling m
     (with omega_max ~ m) quadruples nt * nx.
     """
-    if t_total <= 0 or extent <= 0 or omega_max <= 0 or m <= 0:
-        raise ValidationError("sampling needs positive scales")
+    if not all(0 < v < math.inf for v in (t_total, extent, omega_max, m)):
+        raise ValidationError("sampling needs finite positive scales")
     dt_max = 2.0 * math.pi / (2.0 * omega_max * oversampling)
     dx_max = (1.0 / m) / oversampling
     nt = int(math.ceil(t_total / dt_max)) + 1
@@ -442,7 +443,7 @@ def compile(circuit: LogicalCircuit, params: CompileParams = None,
             # move the facing center wells of the qubit pair toward each other
             qa, qb = sorted(gate.qubits)
             ca, cb = wells[qa, 1], wells[qb, 0]
-            shift = (0.3 * (cb - ca)) * bump[:, None] / gevrey_bump(0.5)
+            shift = (0.3 * (cb - ca)) * bump[:, None] / BUMP_PEAK
             moved_a = well(ca + shift)
             moved_a -= well(ca)
             moved_b = well(cb - shift)
@@ -452,7 +453,7 @@ def compile(circuit: LogicalCircuit, params: CompileParams = None,
         note = {"angle": gate.angle, "alpha": gate.alpha, "beta": gate.beta}
         windows.append(ScheduleWindow(
             f"gate:{gate.kind}", w0, w1, gate.qubits,
-            json.loads(cal.to_json()) | note))
+            cal.record() | note))
 
     windows.append(ScheduleWindow(
         "reverse_prep", float(edges[-3]), float(edges[-2]), tuple(range(n)),
@@ -515,18 +516,17 @@ def simulate_schedule(compiled: CompiledFields, model_level="gate_models"):
         kind = w.label.split(":", 1)[1]
         cal = w.calibration
         qubits = tuple(w.qubits)
+        phases = cal["achieved_phases"]
         if kind == "zrot":
-            mat = np.diag([1.0, np.exp(1j * cal["achieved_phases"][0])])
+            # the z record holds the exponent phase, the gate its negative
+            gate = GateSpec(kind, qubits, angle=-phases[0])
         elif kind == "xrot":
-            phase = cal["achieved_phases"][0]
-            h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-            mat = h @ np.diag([1.0, np.exp(-1j * phase)]) @ h
+            gate = GateSpec(kind, qubits, angle=phases[0])
         elif kind == "entangling":
-            alpha, beta = cal["achieved_phases"][0], cal["achieved_phases"][1]
-            mat = np.diag([1.0, np.exp(1j * alpha), np.exp(1j * beta), 1.0])
+            gate = GateSpec(kind, qubits, alpha=phases[0], beta=phases[1])
         else:  # swap replayed as ideal with tripled gate cost
-            mat = GateSpec("swap", qubits).matrix()
-        u = _embed(mat, qubits, n) @ u
+            gate = GateSpec(kind, qubits)
+        u = _embed(gate.matrix(), gate.qubits, n) @ u
         multiplier = 3.0 if kind == "swap" else 1.0
         contribution = multiplier * (cal["infidelity"] + lam)
         eps_gate_max = max(eps_gate_max, contribution)

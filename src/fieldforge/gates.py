@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 from scipy.linalg import expm, matmul_toeplitz
 
 from .adiabatic import bump_integral, gevrey_bump
@@ -49,29 +48,21 @@ def eta_constant():
     return bump_integral()
 
 
-def _bump_quadrature(fn, n):
-    # independent fixed-grid Simpson check, deliberately not reusing the
-    # adaptive quadrature behind eta_constant
-    s = np.linspace(0.0, 1.0, n)
-    return simpson(fn(s), x=s)
-
-
 @dataclass(frozen=True)
 class ZGateResult:
     beta: float
-    phase_integral: float  # int_0^tau (E0(t) - E0(0)) dt
-    achieved_phase: float  # exponent phase, -phase_integral
+    achieved_phase: float  # exponent phase, -int_0^tau (E0(t) - E0(0)) dt
     residual: float
 
 
-def z_gate_beta(theta, lambda_pt=2.0, tau=100.0, alpha0=1.0, n_quad=2001):
+def z_gate_beta(theta, lambda_pt=2.0, tau=100.0, alpha0=1.0):
     """Bump amplitude for a Z rotation by theta on a Poschl-Teller well.
 
     The well scale is modulated as alpha^2(t) = alpha0^2 (1 + beta B(t/tau)),
     moving the ground energy E0 = -alpha^2 (lambda-1)^2 away from its idle
     value and accumulating the relative phase exp(-i int (E0(t)-E0(0)) dt).
-    Returns the amplitude together with the phase integral re-evaluated by
-    direct quadrature of the modulated energy.
+    The integral is beta (lambda-1)^2 tau alpha0^2 eta in closed form; the
+    same product solves beta and reports the achieved phase.
     """
     if not 1.0 < lambda_pt < math.inf:
         raise ValidationError("Poschl-Teller qubit needs finite lambda_pt > 1")
@@ -79,27 +70,21 @@ def z_gate_beta(theta, lambda_pt=2.0, tau=100.0, alpha0=1.0, n_quad=2001):
         raise ValidationError("need finite tau > 0")
     if not (math.isfinite(theta) and math.isfinite(alpha0)):
         raise ValidationError("need finite theta and alpha0")
-    scale = (lambda_pt - 1.0) ** 2 * tau * alpha0 ** 2
-    beta = -theta / (scale * eta_constant())
-
-    def shift(s):
-        # E0(t) - E0(0) = -alpha0^2 beta B (lambda-1)^2
-        return -(alpha0 ** 2) * beta * gevrey_bump(s) * (lambda_pt - 1.0) ** 2
-
-    integral = tau * _bump_quadrature(shift, n_quad)
-    achieved = -integral
-    return ZGateResult(beta, integral, achieved, abs(achieved - (-theta)))
+    scale = (lambda_pt - 1.0) ** 2 * tau * alpha0 ** 2 * eta_constant()
+    beta = -theta / scale
+    achieved = beta * scale
+    return ZGateResult(beta, achieved, abs(achieved - (-theta)))
 
 
-def _check_b_schedule(beta, b_baseline=1.0):
-    b_min = b_baseline + min(0.0, beta * BUMP_PEAK)
+def _check_b_schedule(beta):
+    b_min = 1.0 + min(0.0, beta * BUMP_PEAK)
     if b_min < QES_B_MIN:
         raise SolvabilityViolated(
             f"b(t) reaches {b_min}, below the QES validity floor of 1")
 
 
-def x_gate_phase(g, beta, tau, include_idle=True, b_baseline=1.0):
-    """Doublet phase int (E2 - E1) dt for b(t) = b_baseline + beta B(t/tau).
+def x_gate_phase(g, beta, tau, include_idle=True):
+    """Doublet phase int (E2 - E1) dt for b(t) = 1 + beta B(t/tau).
 
     The instantaneous splitting of the double-well doublet is
     2 g (2 b - 1)/(1 + g).  With include_idle the constant baseline part of
@@ -110,11 +95,11 @@ def x_gate_phase(g, beta, tau, include_idle=True, b_baseline=1.0):
         raise ValidationError("need finite g > 0")
     if not 0 < tau < math.inf:
         raise ValidationError("need finite tau > 0")
-    if not (math.isfinite(beta) and math.isfinite(b_baseline)):
-        raise ValidationError("need finite beta and b_baseline")
-    _check_b_schedule(beta, b_baseline)
+    if not math.isfinite(beta):
+        raise ValidationError("need finite beta")
+    _check_b_schedule(beta)
     rate = 2.0 * g / (1.0 + g)
-    idle = (2.0 * b_baseline - 1.0) if include_idle else 0.0
+    idle = 1.0 if include_idle else 0.0
     return tau * rate * (idle + 2.0 * beta * eta_constant())
 
 
@@ -134,49 +119,43 @@ class GateCalibration:
         if not 0.0 <= self.infidelity <= 1.0:
             raise ValidationError("infidelity must lie in [0, 1]")
 
-    def to_json(self, indent=2):
-        record = {
+    def record(self):
+        """The calibration as one flat dict, the details merged in last."""
+        return {
             "gate": self.gate,
             self.parameter_name: self.parameter_value,
             "achieved_phases": list(self.achieved_phases),
             "residual": self.residual,
             "infidelity": self.infidelity,
-        }
-        record.update(self.details)
-        return json.dumps(record, indent=indent)
+        } | self.details
+
+    def to_json(self, indent=2):
+        return json.dumps(self.record(), indent=indent)
 
 
-def calibrate_x_gate(g, beta, target=math.pi, include_idle=True,
-                     b_baseline=1.0, n_quad=2001):
+def calibrate_x_gate(g, beta, target=math.pi, include_idle=True):
     """Solve phi(tau) = target for the X-gate duration.
 
-    phi is linear in tau, so the solve is exact; the residual reported is
-    the defect of an independent fixed-grid quadrature of the instantaneous
-    splitting at the solved duration.
+    phi is linear in tau, so the solve is exact.  The phase counts only
+    mod 2 pi, so tau solves for target mod 2 pi, taken with the rate's
+    sign so the duration is never negative; details keep the requested
+    angle.
     """
     if not math.isfinite(target):
         raise ValidationError("need a finite target phase")
-    rate_at_unit_tau = x_gate_phase(g, beta, 1.0, include_idle=include_idle,
-                                    b_baseline=b_baseline)
+    rate_at_unit_tau = x_gate_phase(g, beta, 1.0, include_idle=include_idle)
     if rate_at_unit_tau == 0.0:
         raise ValidationError("phase accumulation rate vanishes; nothing to solve")
-    tau = target / rate_at_unit_tau
-
-    def splitting_excess(s):
-        b = b_baseline + beta * gevrey_bump(s)
-        full = 2.0 * g * (2.0 * b - 1.0) / (1.0 + g)
-        if include_idle:
-            return full
-        return full - 2.0 * g * (2.0 * b_baseline - 1.0) / (1.0 + g)
-
-    phi_quad = tau * _bump_quadrature(splitting_excess, n_quad)
-    residual = abs(phi_quad - target)
+    wrapped = target % math.copysign(2.0 * math.pi, rate_at_unit_tau)
+    tau = wrapped / rate_at_unit_tau
+    phi = tau * rate_at_unit_tau
+    residual = abs(phi - wrapped)
     infid = gate_infidelity(
-        np.diag([1.0, np.exp(-1j * phi_quad)]),
+        np.diag([1.0, np.exp(-1j * phi)]),
         np.diag([1.0, np.exp(-1j * target)]))
     return GateCalibration(
         gate="x", parameter_name="tau", parameter_value=tau,
-        achieved_phases=(phi_quad,), residual=residual, infidelity=infid,
+        achieved_phases=(phi,), residual=residual, infidelity=infid,
         details={"g": g, "beta": beta, "include_idle": include_idle,
                  "target": target})
 
@@ -300,7 +279,7 @@ def extract_logical(u6):
 
 def tune_closure(schedule: TwoQubitSchedule, z_min=1.0):
     """Smallest stretch z >= z_min making theta_x(z) an integer multiple of 2 pi."""
-    theta1 = schedule.tau * np.trapezoid(schedule.b, schedule.s_samples)
+    theta1 = schedule.stretched(1.0).theta_x()
     if abs(theta1) < 1e-14:
         raise NoClosure("int b dt vanishes; no stretch closes the X rotation")
     k = math.ceil(z_min * abs(theta1) / (2.0 * math.pi) - 1e-12)
@@ -432,12 +411,8 @@ def coefficients_from_wells(trajectory: WellPairTrajectory, lam, m,
                 f"separation {ell}: doublet not resolved (got {len(states)})")
         e_sym, e_anti = states.energies[:2]
         psi_sym, psi_anti = states.wavefunctions[:2]
-        # orient both so the left/right combinations localize
-        left = x < 0
-        if np.trapezoid(psi_sym[left] ** 2, x[left]) < 0.5:
-            psi_sym = -psi_sym  # symmetric state has no sign freedom issue
-        if np.sum(psi_sym[left] * psi_anti[left]) < 0:
-            psi_anti = -psi_anti
+        # both states are positive on their left peak (solve_bound_states),
+        # so psi_l localizes left and psi_r right
         psi_l = (psi_sym + psi_anti) / np.sqrt(2.0)
         psi_r = (psi_sym - psi_anti) / np.sqrt(2.0)
         rho_l = psi_l ** 2

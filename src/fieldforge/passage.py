@@ -12,6 +12,7 @@ phase Theta(t) = omega0 t + (B/2T) t^2, whose derivative sweeps the
 instantaneous frequency through resonance at t = 0.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,8 +163,9 @@ def check_conditions(g, Omega, B, T, omega0, lam, epsilon, C=1.0):
     scaling solution it is meant to accept.  Raw ratios are stored so
     different C can be re-applied later.
     """
-    if min(g, Omega, B, T, omega0, lam) <= 0:
-        raise ValidationError("all parameters must be positive")
+    if not all(0 < v < math.inf
+               for v in (g, Omega, B, T, omega0, lam, epsilon, C)):
+        raise ValidationError("all parameters and C must be finite and positive")
     ratios = [
         Omega / B,
         B ** 2 / (T * Omega ** 3),

@@ -65,7 +65,7 @@ class Potential:
     def exact_energies(self):
         raise Unsupported(f"{type(self).__name__} has no closed-form spectrum")
 
-    def default_grid(self, n=2048, lengths=19.0):
+    def default_grid(self):
         # 19 decay lengths puts the slowest tail near 5e-9 at the wall,
         # inside the post-hoc boundary check
         d = self.decay_length()
@@ -73,7 +73,7 @@ class Potential:
             raise ValidationError(
                 f"{type(self).__name__} has no intrinsic length scale; pass a grid"
             )
-        return Grid.symmetric(lengths * d, n)
+        return Grid.symmetric(19.0 * d, 2048)
 
 
 class PoschlTeller(Potential):

@@ -182,14 +182,14 @@ def _integrate_solution(potential, z, x_from, x_to, u0, du0, rtol):
     return _PiecewiseSolution(segments), y
 
 
-def wronskian(potential, z, rtol=1e-10, n_checks=5):
+def wronskian(potential, z, rtol=1e-10):
     """W(z) = u_L' u_R - u_L u_R' for the decaying solutions of (H - z)u = 0.
 
     u_L and u_R start from exponential asymptotics with amplitude sqrt(2)
     at the left/right edge of the potential's support; that normalization
     reproduces the closed-form W of the square barrier (free case
-    W = 4 m exp(m l)).  W is checked for x-independence at n_checks
-    interior points.
+    W = 4 m exp(m l)).  W is checked for x-independence at five interior
+    points.
     """
     c = potential.units.kinetic_coefficient
     if potential.breakpoints:
@@ -210,13 +210,13 @@ def wronskian(potential, z, rtol=1e-10, n_checks=5):
     # right solution decays as exp(-kap x), amplitude referenced at x_r
     sol_r, _ = _integrate_solution(potential, z, x_r, x_l, amp, -kap * amp, rtol)
 
-    xs = np.linspace(x_l, x_r, n_checks + 2)[1:-1]
+    xs = np.linspace(x_l, x_r, 7)[1:-1]
     ws = np.empty(xs.size)
     for i, xc in enumerate(xs):
         ul, dul = sol_l(xc)
         ur, dur = sol_r(xc)
         ws[i] = dul * ur - ul * dur
-    w = ws[n_checks // 2]
+    w = ws[xs.size // 2]
     spread = np.max(np.abs(ws - w)) / max(abs(w), 1e-300)
     if spread > 1e-8:
         raise IntegrationFailure(f"Wronskian drifts by {spread:.2e} across the box")

@@ -138,6 +138,16 @@ def test_calibrate_x(capsys):
     assert data["achieved_phases"][0] == pytest.approx(math.pi, abs=1e-8)
 
 
+def test_calibrate_x_negative_target(capsys):
+    code, out, _ = run(capsys, ["calibrate", "x", "--target", "-1"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["tau"] > 0.0
+    assert data["target"] == -1.0
+    assert math.remainder(data["achieved_phases"][0] + 1.0,
+                          2.0 * math.pi) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_calibrate_entangling(capsys):
     code, out, _ = run(capsys, ["calibrate", "entangling"])
     assert code == 0
@@ -300,9 +310,13 @@ def test_nonpositive_counts_exit_three(capsys, argv):
     ["calibrate", "z", "--tau", "nan"],
     ["calibrate", "x", "--beta", "nan"],
     ["calibrate", "x", "--g", "nan"],
+    ["passage", "--eps", "0.2", "--big-c", "nan"],
+    ["passage", "--eps", "0.2", "--big-c", "-1"],
+    ["passage", "--eps", "0.2", "--big-c", "0"],
+    ["passage", "--eps", "0.2", "--big-c", "inf"],
 ], ids=["spectrum-omega0", "pt-alpha", "pt-lam", "qes-g", "qes-b",
         "half-width", "gates-negative", "depth-negative", "z-tau", "x-beta",
-        "x-g"])
+        "x-g", "big-c-nan", "big-c-negative", "big-c-zero", "big-c-inf"])
 def test_nan_and_negative_inputs_exit_three(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 3

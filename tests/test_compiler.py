@@ -104,6 +104,31 @@ def test_sampling_quadruples_when_mass_doubles():
         compute_sampling(-1.0, 50.0, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("slot", range(4))
+def test_sampling_rejects_non_finite_scales(slot, bad):
+    args = [100.0, 50.0, 1.0, 1.0]
+    args[slot] = bad
+    with pytest.raises(ValidationError):
+        compute_sampling(*args)
+
+
+def test_negative_x_angle_compiles_forward_in_time():
+    def gate_window(angle):
+        circuit = LogicalCircuit(1, (GateSpec("xrot", (0,), angle=angle),))
+        fields = compile(circuit, FAST)
+        assert all(w.t_end >= w.t_start for w in fields.windows)
+        return circuit, fields, fields.windows[2]
+
+    circuit, fields, window = gate_window(-1.0)
+    _, _, wrapped = gate_window(2.0 * math.pi - 1.0)
+    assert window.t_end - window.t_start == pytest.approx(
+        wrapped.t_end - wrapped.t_start, rel=1e-12)
+    assert window.calibration["target"] == -1.0
+    replay = simulate_schedule(fields).logical_unitary
+    np.testing.assert_allclose(replay, ideal_unitary(circuit), atol=1e-12)
+
+
 def test_window_sequence(compiled):
     labels = [w.label for w in compiled.windows]
     assert labels == ["j2_rampup", "prep", "gate:zrot", "gate:xrot",

@@ -32,6 +32,17 @@ def test_z_gate_beta_formula(theta):
     assert res.residual < 1e-10
 
 
+def test_z_gate_phase_is_the_solving_closed_form():
+    # the reported phase is the product that solved beta, so it meets -theta
+    # to within an ulp of 2 pi
+    for theta in np.linspace(0.0, 2.0 * np.pi, 402)[1:-1]:
+        res = z_gate_beta(float(theta))
+        assert abs(res.achieved_phase + theta) <= 1e-15
+        assert res.residual == abs(res.achieved_phase + theta)
+    cal = calibrate_z_gate(0.3)
+    assert json.loads(cal.to_json()) == cal.record()
+
+
 def test_z_calibration_record():
     cal = calibrate_z_gate(np.pi / 3.0)
     assert cal.gate == "z"
