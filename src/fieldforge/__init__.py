@@ -45,8 +45,6 @@ from .adiabatic import (
     bump_integral,
     frame_generator,
     gevrey_bump,
-    gevrey_derivative_check,
-    leakage_overlap_bound,
     propagate,
 )
 from .gates import (

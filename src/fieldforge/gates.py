@@ -215,6 +215,8 @@ class TwoQubitSchedule:
             arr = np.asarray(arr, dtype=float)
             if arr.shape != self.s_samples.shape:
                 raise ValidationError("coefficient arrays must match s_samples")
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError(f"{name}(t) must be finite")
             scale = max(np.max(np.abs(arr)), 1e-300)
             if abs(arr[0]) > self.endpoint_tol * scale or \
                     abs(arr[-1]) > self.endpoint_tol * scale:
@@ -226,8 +228,8 @@ class TwoQubitSchedule:
         if np.any(np.diff(self.s_samples) <= 0) or \
                 abs(self.s_samples[0]) > 1e-12 or abs(self.s_samples[-1] - 1.0) > 1e-12:
             raise ValidationError("s_samples must increase from 0 to 1")
-        if self.tau <= 0 or self.z <= 0:
-            raise ValidationError("need tau > 0 and z > 0")
+        if not (0 < self.tau < math.inf and 0 < self.z < math.inf):
+            raise ValidationError("need finite tau > 0 and z > 0")
 
     def theta_x(self):
         return self.z * self.tau * np.trapezoid(self.b, self.s_samples)
@@ -348,10 +350,10 @@ class WellPairTrajectory:
     tau: float
 
     def __post_init__(self):
-        if not 0 < self.ell_min <= self.ell_max:
-            raise ValidationError("need 0 < ell_min <= ell_max")
-        if self.depth <= 0 or self.width <= 0 or self.tau <= 0:
-            raise ValidationError("depth, width, tau must be positive")
+        if not 0 < self.ell_min <= self.ell_max < math.inf:
+            raise ValidationError("need 0 < ell_min <= ell_max, finite")
+        if not all(0 < v < math.inf for v in (self.depth, self.width, self.tau)):
+            raise ValidationError("depth, width, tau must be finite and positive")
 
     def separation(self, s):
         reach = (self.ell_max - self.ell_min) / BUMP_PEAK

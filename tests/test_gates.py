@@ -123,6 +123,34 @@ def test_schedule_validation():
         TwoQubitSchedule(s[::-1], 0.0 * s, 0.0 * s, 0.0 * s, tau=1.0)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("tau", np.nan), ("tau", np.inf), ("tau", 0.0), ("z", np.nan),
+    ("z", np.inf), ("z", -1.0), ("b", np.nan), ("c", np.inf), ("d", np.nan)])
+def test_schedule_rejects_non_finite(field, bad):
+    s = np.linspace(0.0, 1.0, 11)
+    args = {"b": 0.3 * gevrey_bump(s), "c": 0.0 * s, "d": 0.0 * s,
+            "tau": 1.0, "z": 1.0}
+    if field in "bcd":
+        args[field] = args[field].copy()
+        args[field][5] = bad        # interior sample: endpoints still vanish
+    else:
+        args[field] = bad
+    with pytest.raises(ValidationError):
+        TwoQubitSchedule(s, **args)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("depth", np.nan), ("width", np.nan), ("tau", np.nan), ("tau", np.inf),
+    ("depth", -1.0), ("ell_min", np.nan), ("ell_max", np.nan),
+    ("ell_max", np.inf)])
+def test_well_pair_rejects_non_finite(field, bad):
+    args = {"ell_max": 8.0, "ell_min": 2.1, "depth": 4.5, "width": 0.7,
+            "tau": 40.0}
+    args[field] = bad
+    with pytest.raises(ValidationError):
+        WellPairTrajectory(**args)
+
+
 def test_schedule_integrals_and_stretch():
     sched = _bump_schedule()
     eta_num = np.trapezoid(gevrey_bump(sched.s_samples), sched.s_samples)

@@ -1,13 +1,18 @@
 """Two-level sweeps, the parameter ladder, and the condition checks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from fieldforge._ode import _propagator
 from fieldforge.errors import UnstableVacuum, ValidationError
 from fieldforge.passage import (CONDITION_NAMES, TwoLevelSweep,
-                                check_conditions, effective_hamiltonian,
-                                prep_time_estimate, propagate_sweep,
-                                rwa_error_bound, scale_parameters)
+                                _two_level_stack, check_conditions,
+                                effective_hamiltonian, prep_time_estimate,
+                                propagate_sweep, rwa_error_bound,
+                                scale_parameters)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -142,6 +147,74 @@ def test_lab_frame_within_rwa_bound():
         rwa = propagate_sweep(sweep, frame="rwa")
         diff = np.linalg.norm(lab.amplitudes - rwa.amplitudes)
         assert diff <= rwa_error_bound(Omega, w0, B / 2.0, T)
+
+
+def _dop853_sweep(sweep, frame, rtol, atol):
+    """Oracle: DOP853 on one 2x2 right-hand side at a time."""
+    def h(t):
+        if frame == "rwa":
+            return np.array([[0.0, sweep.Omega / 2.0],
+                             [sweep.Omega / 2.0, -sweep.detuning(t)]])
+        drive = sweep.Omega * np.cos(sweep.drive_phase(t))
+        return np.array([[0.0, drive], [drive, sweep.omega0]])
+
+    sol = solve_ivp(lambda t, y: -1j * h(t) @ y, (-sweep.T / 2.0, sweep.T / 2.0),
+                    np.array([1.0, 0.0], dtype=complex), method="DOP853",
+                    rtol=rtol, atol=atol)
+    psi = sol.y[:, -1]
+    if frame == "lab":
+        psi[1] *= np.exp(1j * sweep.drive_phase(sweep.T / 2.0))
+    return psi
+
+
+def _converged_and_former(sweep, frame):
+    """DOP853 at rtol 1e-13, and at the sweep's former rtol 1e-11."""
+    return (_dop853_sweep(sweep, frame, 1e-13, 1e-16),
+            _dop853_sweep(sweep, frame, 1e-11, 1e-14))
+
+
+@pytest.mark.parametrize("sweep", [TwoLevelSweep(50.0, 0.3, 0.4, 10.0),
+                                   TwoLevelSweep(60.0, 0.4, 0.5, 12.0)],
+                         ids=["w0T500", "w0T720"])
+def test_lab_sweep_as_close_as_dop853(sweep):
+    converged, former = _converged_and_former(sweep, "lab")
+    res = propagate_sweep(sweep, frame="lab")
+    err = np.max(np.abs(res.amplitudes - converged))
+    assert err <= np.max(np.abs(former - converged))
+    assert err < 1e-10
+    assert res.steps > 0
+
+
+def test_ladder_sweep_as_close_as_dop853():
+    sp = scale_parameters(0.2)
+    sweep = TwoLevelSweep(1.0, sp.g, sp.B, sp.T)
+    converged, former = _converged_and_former(sweep, "rwa")
+    err = np.max(np.abs(propagate_sweep(sweep).amplitudes - converged))
+    assert err <= np.max(np.abs(former - converged))
+
+
+def test_magnus_steps_converge_at_fourth_order():
+    sweep = TwoLevelSweep(1.0, 0.3, 0.5, 40.0)
+    converged = _dop853_sweep(sweep, "rwa", 1e-13, 1e-16)
+
+    def h(t):
+        return _two_level_stack(t, sweep.Omega / 2.0, -sweep.detuning(t))
+
+    errs = [np.max(np.abs(_propagator(h, -20.0, 20.0, n, 2)[:, 0] - converged))
+            for n in (64, 128)]
+    assert 12.0 <= errs[0] / errs[1] <= 20.0
+
+
+def test_lab_sweep_memory_is_blocked():
+    # numerics-size sweep: omega0 T = 2000 takes about 2^19 Magnus steps
+    sweep = TwoLevelSweep(100.0, 0.6, 0.8, 20.0)
+    tracemalloc.start()
+    try:
+        propagate_sweep(sweep, frame="lab")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
 
 
 def test_sweep_validation():
