@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from scipy.integrate import simpson, solve_ivp
 from scipy.linalg import expm
+from scipy.optimize import linear_sum_assignment
 
 from fieldforge._ode import _eigh_product, evolve, exp_product
-from fieldforge.adiabatic import (TimeDependentHamiltonian, bump_integral,
-                                  build_frame_trajectory, frame_generator,
-                                  gevrey_bump, propagate)
+from fieldforge.adiabatic import (TimeDependentHamiltonian, _midpoint_frames,
+                                  bump_integral, build_frame_trajectory,
+                                  frame_generator, gevrey_bump, propagate)
 from fieldforge.errors import (DegenerateGap, GapClosure, IntegrationFailure,
                                ValidationError)
 
@@ -285,3 +286,152 @@ def test_leakage_decreases_with_tau():
         res = propagate(_bump_driven(tau), 1, mode="full")
         leaks.append(res.leakage)
     assert leaks[0] > leaks[1] > leaks[2] > 0.0
+
+
+# --- batched sample routes -------------------------------------------------
+
+
+def _crossing(tau):
+    # levels 1 and 2 cross at s = 0.513, between samples, in a complex basis;
+    # level 0 couples to level 3
+    q, _ = np.linalg.qr(np.random.default_rng(11).normal(size=(4, 4))
+                        + 1j * np.random.default_rng(12).normal(size=(4, 4)))
+
+    def h(s):
+        e = np.diag([-2.0, 0.3 * (s - 0.513), -0.3 * (s - 0.513), 2.0 + s])
+        e[0, 3] = e[3, 0] = 0.2 * np.sin(2.0 * s)
+        return q @ e @ q.conj().T
+    return TimeDependentHamiltonian(4, h, tau)
+
+
+def _fix_gauge_oracle(prev_v, w, v):
+    """One sample at a time: assignment on |overlap|, then real positive
+    overlaps.  Returns the re-gauged (w, v) and the permutation."""
+    row, col = linear_sum_assignment(-np.abs(prev_v.conj().T @ v))
+    perm = np.empty_like(col)
+    perm[row] = col
+    v, w = v[:, perm], w[perm]
+    diag = np.einsum("ij,ij->j", prev_v.conj(), v)
+    return w, v / (diag / np.abs(diag)), perm
+
+
+def test_stack_matches_per_sample_h():
+    system = _four_level(6.0)
+    s = np.linspace(0.0, 1.0, 9)
+    stacked = system.stack(s)
+    assert stacked.shape == (9, 4, 4)
+    assert stacked.tobytes() == np.stack([system.h(si) for si in s]).tobytes()
+    assert system.stack(s.reshape(3, 3)).shape == (3, 3, 4, 4)
+
+
+def test_stack_names_first_non_hermitian_sample():
+    def h(s):
+        return np.array([[0.0, 1.0], [1.0 + (s > 0.4), 0.0]])
+
+    system = TimeDependentHamiltonian(2, h, 1.0)
+    with pytest.raises(ValidationError, match=r"H\(0\.5\)"):
+        system.stack(np.linspace(0.0, 1.0, 5))
+
+
+def test_batched_derivative_and_generator_match_scalar_calls():
+    system = _four_level(6.0)
+    numeric = TimeDependentHamiltonian(4, system.evaluator, 6.0)
+    s = np.array([0.0, 5e-4, 0.3, 0.9995, 1.0])   # shifted stencils at the ends
+    batch = numeric.dh_ds(s)
+    assert batch.tobytes() == np.stack([numeric.dh_ds(si) for si in s]).tobytes()
+    m = frame_generator(numeric, s)
+    assert m.tobytes() == np.stack([frame_generator(numeric, si)
+                                    for si in s]).tobytes()
+
+
+def test_degenerate_gap_names_first_sample_and_pair():
+    def h(s):
+        return np.diag([0.0, 1.0, 2.0 + (s > 0.3), 2.0 + 1e-12]).astype(complex)
+
+    system = TimeDependentHamiltonian(4, h, 1.0)
+    with pytest.raises(DegenerateGap, match=r"levels 2,3 .* s=0\.25"):
+        frame_generator(system, np.array([0.5, 0.25, 0.1]))
+
+
+@pytest.mark.parametrize("make", [_four_level, _crossing])
+def test_sample_chain_matches_per_sample_gauge(make):
+    system = make(5.0)
+    traj = build_frame_trajectory(system)
+    energies, vectors = np.empty_like(traj.energies), np.empty_like(traj.vectors)
+    energies[0], vectors[0] = np.linalg.eigh(system.h(0.0))
+    moved = 0
+    for i, si in enumerate(traj.s_samples[1:], start=1):
+        w, v = np.linalg.eigh(system.h(si))
+        energies[i], vectors[i], perm = _fix_gauge_oracle(vectors[i - 1], w, v)
+        moved += np.any(perm != np.arange(4))
+    assert (moved > 0) == (make is _crossing)
+    np.testing.assert_allclose(traj.energies, energies, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(traj.vectors, vectors, rtol=0.0, atol=1e-14)
+
+    smid, (w_mid, v_mid) = _midpoint_frames(system, traj)
+    moved = 0
+    for i, si in enumerate(smid):
+        w, v, perm = _fix_gauge_oracle(traj.vectors[i],
+                                       *np.linalg.eigh(system.h(si)))
+        moved += np.any(perm != np.arange(4))
+        np.testing.assert_allclose(w_mid[i], w, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(v_mid[i], v, rtol=0.0, atol=1e-14)
+    assert (moved > 0) == (make is _crossing)
+
+
+def _counting(system):
+    calls = [0]
+
+    def h(s):
+        calls[0] += 1
+        return system.evaluator(s)
+    return TimeDependentHamiltonian(system.dimension, h, system.tau), calls
+
+
+def test_evaluator_call_counts():
+    n = 129
+    system, calls = _counting(_two_level(6.0))
+    full = propagate(system, 2, mode="full", n_samples=n)
+    assert calls[0] == n + 2 * full.steps
+    calls[0] = 0
+    propagate(system, 2, mode="reduced", n_samples=n)
+    assert calls[0] == n + 6 * (n - 1)
+
+
+# --- input checks ----------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("dds", [
+    lambda s: np.full((2, 2), np.nan),
+    lambda s: np.full((2, 2), np.inf),
+    lambda s: np.zeros((3, 3)),
+    lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]),
+], ids=["nan", "inf", "shape", "non-hermitian"])
+def test_analytic_derivative_checked(dds):
+    base = _two_level(4.0)
+    system = TimeDependentHamiltonian(2, base.evaluator, 4.0, dds=dds)
+    with pytest.raises(ValidationError):
+        system.dh_ds(0.5)
+    with pytest.raises(ValidationError):
+        propagate(system, 2, mode="reduced", n_samples=17)
+
+
+@pytest.mark.parametrize("dimension", [2.5, np.nan, np.inf, "two"])
+def test_dimension_must_be_integral(dimension):
+    with pytest.raises(ValidationError):
+        TimeDependentHamiltonian(dimension, lambda s: np.eye(2), 1.0)
+
+
+def test_counts_must_be_integral():
+    system = _two_level(4.0)
+    for d in (1.5, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            propagate(system, d)
+    for n in (2.5, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            propagate(system, 2, n_samples=n)
+        with pytest.raises(ValidationError):
+            build_frame_trajectory(system, n_samples=n)
+    assert TimeDependentHamiltonian(2.0, system.evaluator, 4.0).dimension == 2
+    assert propagate(system, 2.0, n_samples=17.0).steps == 16
