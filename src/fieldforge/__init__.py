@@ -58,7 +58,6 @@ from .gates import (
     coefficients_from_wells,
     entangling_check,
     extract_logical,
-    eta_constant,
     gate_infidelity,
     propagate_two_qubit,
     tune_closure,

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from ._ode import evolve, exp_product
-from .errors import DegenerateGap, GapClosure, ValidationError
+from .errors import DegenerateGap, GapClosure, ValidationError, _count
 
 HERMITICITY_TOL = 1e-12
 GAP_FLOOR_FRACTION = 1e-8
@@ -67,30 +67,18 @@ def bump_integral():
                  / BUMP_PANELS)
 
 
-def _count(value, name):
-    """value as an int; NaN, inf and fractional values are rejected."""
-    try:
-        integral = float(value).is_integer()
-    except (TypeError, ValueError, OverflowError):
-        integral = False
-    if not integral:
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass
 class TimeDependentHamiltonian:
     """H(s) for s in [0,1]; physical time is t = s*tau.
 
-    evaluator (and dds, the analytic dH/ds when supplied) maps one float s
-    to a (dimension, dimension) Hermitian matrix.  stack(s) evaluates it
-    once per sample and checks every sample's shape, finiteness and
-    Hermiticity in one pass; h(s) is the one-sample stack.
+    evaluator maps one float s to a (dimension, dimension) Hermitian
+    matrix.  stack(s) evaluates it once per sample and checks every
+    sample's shape, finiteness and Hermiticity in one pass; h(s) is the
+    one-sample stack.
     """
     dimension: int
     evaluator: Callable
     tau: float
-    dds: Optional[Callable] = None   # analytic dH/ds if available
 
     def __post_init__(self):
         self.dimension = _count(self.dimension, "dimension")
@@ -99,15 +87,15 @@ class TimeDependentHamiltonian:
         if not 0 < self.tau < np.inf:
             raise ValidationError("need finite tau > 0")
 
-    def _sampled(self, fn, s, name):
-        """fn at every s, shape s.shape + (d, d), each sample checked."""
+    def stack(self, s):
+        """H at every s, shape s.shape + (d, d), each sample checked."""
         s = np.asarray(s, dtype=float)
         shape = (self.dimension, self.dimension)
         out = np.empty((s.size,) + shape, dtype=complex)
         for i, si in enumerate(s.flat):
-            m = np.asarray(fn(float(si)), dtype=complex)
+            m = np.asarray(self.evaluator(float(si)), dtype=complex)
             if m.shape != shape:
-                raise ValidationError(f"{name}({si}) has shape {m.shape}, "
+                raise ValidationError(f"H({si}) has shape {m.shape}, "
                                       f"need {shape}")
             out[i] = m
         skew = np.max(np.abs(out - out.conj().transpose(0, 2, 1)), axis=(1, 2))
@@ -115,27 +103,20 @@ class TimeDependentHamiltonian:
         # "not <=" also rejects NaN and inf entries
         bad = np.flatnonzero(~(skew <= HERMITICITY_TOL * scale))
         if bad.size:
-            raise ValidationError(f"{name}({s.flat[bad[0]]}) is not a finite "
+            raise ValidationError(f"H({s.flat[bad[0]]}) is not a finite "
                                   "Hermitian matrix")
         return out.reshape(s.shape + shape)
-
-    def stack(self, s):
-        """H at every s, shape s.shape + (d, d)."""
-        return self._sampled(self.evaluator, s, "H")
 
     def h(self, s):
         """H at one s, shape (d, d)."""
         return self.stack(float(s))
 
     def dh_ds(self, s):
-        """dH/ds at every s: analytic when supplied, else a 4th-order
-        5-point stencil.
+        """dH/ds at every s by a 4th-order 5-point stencil.
 
         The stencil shifts near the endpoints so every node stays in [0,1];
         the weights come from a Vandermonde solve, so order is kept.
         """
-        if self.dds is not None:
-            return self._sampled(self.dds, s, "dH/ds")
         s = np.asarray(s, dtype=float)
         col = s.reshape(-1, 1)
         offsets = np.where(
@@ -231,9 +212,10 @@ def build_frame_trajectory(system: TimeDependentHamiltonian, n_samples=1025):
 def frame_generator(system: TimeDependentHamiltonian, s, basis=None):
     """Hermitian frame generator M at parameter s (physical-time units).
 
-    s is a scalar or an array; M has shape s.shape + (d, d).  basis:
-    optional (energies, vectors) stacks fixing the gauge; otherwise the
-    energy-ordered eigenbasis at s is used (phases drop out of |M_jk|).
+    s is a scalar or an array; M has shape s.shape + (k, k).  basis:
+    optional (energies, vectors) stacks fixing the gauge, vectors holding
+    k <= d columns; otherwise the energy-ordered eigenbasis at s is used
+    (phases drop out of |M_jk|) and k = d.
     """
     s = np.asarray(s, dtype=float)
     if basis is None:
@@ -279,13 +261,15 @@ def _reduced_propagator(system, trajectory, d):
     """Midpoint-exponential product for the tracked block of M.
 
     Second-order in the step; the step-halving invariant (phases move by
-    under 1e-6) is the accuracy check.  The steps tau ds M_mid[:d, :d]
-    go through the propagator's exponential-and-product kernel at once.
+    under 1e-6) is the accuracy check.  The generator is built on the
+    tracked levels only, so untracked levels may come arbitrarily close
+    to one another; the steps tau ds M_mid go through the propagator's
+    exponential-and-product kernel at once.
     """
-    smid, basis = _midpoint_frames(system, trajectory)
-    m = frame_generator(system, smid, basis=basis)
+    smid, (w, v) = _midpoint_frames(system, trajectory)
+    m = frame_generator(system, smid, basis=(w[:, :d], v[:, :, :d]))
     ds = np.diff(trajectory.s_samples)[:, np.newaxis, np.newaxis]
-    return exp_product(system.tau * ds * m[:, :d, :d])
+    return exp_product(system.tau * ds * m)
 
 
 def propagate(system: TimeDependentHamiltonian, subspace_dim, mode="reduced",

@@ -17,12 +17,12 @@ exactly on the float's mantissa.  No extended precision is involved.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
-from .errors import AmbiguousRegion, ValidationError, ZeroChirp
+from .errors import ValidationError, ZeroChirp
 
 _SCIPY_MAX = 1e6
 _MAX_ASYMP_TERMS = 13
@@ -229,14 +229,14 @@ def _transition_bound(bt, what):
     return c0 + c12 / np.sqrt(bt) + c1 / bt + c32 / bt ** 1.5 + c3 / bt ** 3
 
 
-def region_bound(source: ChirpSource, omega, strict=False):
+def region_bound(source: ChirpSource, omega):
     """Worst-case bound on (B/2pi)|G(omega)|^2 by spectral region.
 
     omega is measured from the chirp center (the argument of G+-).
     Classification margin: in_band needs 1/2 - |omega|/B above
     3 sqrt(pi/BT), transition needs |...| below sqrt(pi/BT)/3, tail the
     mirror of in_band; anything between is ambiguous and gets the max of
-    the two adjacent bounds (or raises when strict=True).
+    the two adjacent bounds.
     """
     b = source.B
     bt = b * source.T
@@ -259,8 +259,6 @@ def region_bound(source: ChirpSource, omega, strict=False):
         return SpectrumRegionBound("transition", _transition_bound(bt, w),
                                    float(omega), margin, notes=notes)
     # between margins
-    if strict:
-        raise AmbiguousRegion(f"omega/B = {w} within the classification margins")
     trans = _transition_bound(bt, w)
     other = _in_band_or_tail_bound(bt, w)
     region = "in_band" if wminus > 0 else "tail"

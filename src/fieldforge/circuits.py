@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TooManyQubits, ValidationError
+from .errors import TooManyQubits, ValidationError, _count
 
 MAX_DENSE_QUBITS = 12
 GATE_KINDS = ("xrot", "zrot", "entangling", "swap")
@@ -30,7 +30,8 @@ class GateSpec:
     def __post_init__(self):
         if self.kind not in GATE_KINDS:
             raise ValidationError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits",
+                           tuple(_count(q, "qubit index") for q in self.qubits))
         arity = 1 if self.kind in ("xrot", "zrot") else 2
         if len(self.qubits) != arity:
             raise ValidationError(f"{self.kind} takes {arity} qubit(s)")
@@ -61,6 +62,7 @@ class LogicalCircuit:
     gates: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "n_qubits", _count(self.n_qubits, "n_qubits"))
         if self.n_qubits < 1:
             raise ValidationError("need at least one qubit")
         object.__setattr__(self, "gates", tuple(self.gates))

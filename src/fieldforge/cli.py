@@ -31,7 +31,6 @@ from .chirp import ChirpSource, g_component, region_bound
 from .circuits import GateSpec, LogicalCircuit, ideal_unitary
 from .compiler import (
     CompileParams,
-    CompiledFields,
     ResourceEstimate,
     ScalingConfig,
     compile as compile_circuit,
@@ -40,7 +39,7 @@ from .compiler import (
     simulate_schedule,
 )
 from .errors import FieldForgeError, ValidationError
-from .gates import calibrate_entangling, calibrate_x_gate, calibrate_z_gate
+from .gates import calibrate_x_gate, calibrate_z_gate
 from .measure import decision, hadamard_test
 from .passage import check_conditions, scale_parameters
 from .potentials import Grid, PoschlTeller, QESDoubleWell, Tabulated

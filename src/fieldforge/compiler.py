@@ -34,8 +34,8 @@ import numpy as np
 
 from .adiabatic import gevrey_bump
 from .chirp import ChirpSource
-from .circuits import GateSpec, LogicalCircuit, _embed, insert_swaps
-from .errors import BudgetExceeded, InfeasibleGate, ValidationError
+from .circuits import GateSpec, LogicalCircuit, ideal_unitary, insert_swaps
+from .errors import BudgetExceeded, InfeasibleGate, ValidationError, _count
 from .gates import (
     BUMP_PEAK,
     WellPairTrajectory,
@@ -72,7 +72,7 @@ class ScalingConfig:
                 raise ValidationError(f"{name} must be finite and positive")
         if not 1.0 <= self.oversampling < math.inf:
             raise ValidationError("oversampling must be finite and >= 1")
-        if not (self.sample_cap >= 1 and float(self.sample_cap).is_integer()):
+        if _count(self.sample_cap, "sample_cap") < 1:
             raise ValidationError("sample_cap must be a positive integer")
 
 
@@ -281,16 +281,18 @@ def _config_hash(params: dict, config: ScalingConfig):
 
 
 def _inter_qubit_gap(m, depth, lam):
-    """Spacing between qubit blocks keeping the tunneling estimate tiny."""
+    """Spacing between qubit blocks keeping the tunneling estimate tiny.
+
+    gap = 1.02 ln(1/INTER_QUBIT_TUNNELING)/kappa, so the estimate
+    W = exp(-kappa gap) = INTER_QUBIT_TUNNELING^1.02 is below the target
+    for every m and depth.
+    """
     # generic mid-well binding scale: half the well depth below the barrier top
     barrier = depth
     energy = -0.5 * depth
     kappa = math.sqrt(2.0 * m * (barrier - energy))
     gap = 1.02 * math.log(1.0 / INTER_QUBIT_TUNNELING) / kappa
     est = tunneling_and_interaction_estimates(barrier, gap, energy, m, lam)
-    while est.wkb_factor >= INTER_QUBIT_TUNNELING:
-        gap *= 1.5
-        est = tunneling_and_interaction_estimates(barrier, gap, energy, m, lam)
     return gap, est.wkb_factor
 
 
@@ -323,7 +325,7 @@ def compile(circuit: LogicalCircuit, params: CompileParams = None,
     """Compile a logical circuit into sampled source fields with annotations."""
     params = params or CompileParams()
     config = config or ScalingConfig()
-    nn = circuit if circuit.is_nearest_neighbor() else insert_swaps(circuit)
+    nn = insert_swaps(circuit)
     n = nn.n_qubits
     g_count = len(nn.gates)
     resources = ResourceEstimate.from_counts(n, g_count, nn.depth(), config)
@@ -491,9 +493,9 @@ class SimulationReport:
 def simulate_schedule(compiled: CompiledFields, model_level="gate_models"):
     """Replay the compiled schedule at the gate-model level.
 
-    Composes the calibrated logical gate matrices recorded in the window
-    annotations and combines |<0...0|U|0...0>|^2 with the per-well prep and
-    annihilation fidelity bounds.  The vacuum-return probability is a
+    Rebuilds each gate window's logical gate from its calibration record,
+    composes them through ideal_unitary, and combines |<0...0|U|0...0>|^2
+    with the per-well prep and annihilation fidelity bounds.  The vacuum-return probability is a
     gate-model proxy, not a field-theoretic computation; the metadata says
     so explicitly.
     """
@@ -501,7 +503,7 @@ def simulate_schedule(compiled: CompiledFields, model_level="gate_models"):
         raise ValidationError("only the gate_models level is implemented")
     n = compiled.metadata["n_qubits"]
     lam = compiled.resources.lam
-    u = np.eye(2 ** n, dtype=complex)
+    replayed = []
     total_infidelity = 0.0
     eps_prep = 0.0
     eps_gate_max = 0.0
@@ -526,11 +528,12 @@ def simulate_schedule(compiled: CompiledFields, model_level="gate_models"):
             gate = GateSpec(kind, qubits, alpha=phases[0], beta=phases[1])
         else:  # swap replayed as ideal with tripled gate cost
             gate = GateSpec(kind, qubits)
-        u = _embed(gate.matrix(), gate.qubits, n) @ u
+        replayed.append(gate)
         multiplier = 3.0 if kind == "swap" else 1.0
         contribution = multiplier * (cal["infidelity"] + lam)
         eps_gate_max = max(eps_gate_max, contribution)
         total_infidelity += contribution
+    u = ideal_unitary(LogicalCircuit(n, replayed))
     amp = u[0, 0]
     prep_fidelity = max(1.0 - eps_prep, 0.0)
     vacuum_return = float(abs(amp) ** 2 * prep_fidelity ** (2 * n))

@@ -9,6 +9,17 @@ class ValidationError(FieldForgeError):
     """Bad user input (CLI exit code 3)."""
 
 
+def _count(value, name):
+    """value as an int; NaN, inf and fractional values are rejected."""
+    try:
+        integral = float(value).is_integer()
+    except (TypeError, ValueError, OverflowError):
+        integral = False
+    if not integral:
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class NoBoundStates(FieldForgeError):
     """The potential supports no bound state on the given grid."""
 
@@ -35,10 +46,6 @@ class UnstableVacuum(FieldForgeError):
 
 class ZeroChirp(FieldForgeError):
     """Chirp rate is zero; use the windowed-cosine transform instead."""
-
-
-class AmbiguousRegion(FieldForgeError):
-    """Frequency falls between spectral-region classification margins."""
 
 
 class DegenerateGap(FieldForgeError):

@@ -7,8 +7,7 @@ persistence and per-mode statistics follow from the overlaps
 Jt(omega_l, l) = int dt dx psi_l(x) exp(+i omega_l t) J1(t, x).
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -38,9 +37,10 @@ class ModeBasis:
         dx = self.grid.dx
         return self.psis @ self.psis.T * dx
 
-    def check_orthonormality(self, tol=ORTHONORMALITY_TOL):
+    def check_orthonormality(self):
         g = self.overlap_matrix()
-        return float(np.max(np.abs(g - np.eye(len(self.omegas))))) <= tol
+        return (float(np.max(np.abs(g - np.eye(len(self.omegas)))))
+                <= ORTHONORMALITY_TOL)
 
 
 def mode_decomposition(j2, m, grid: Grid, n_continuum=0):
@@ -310,8 +310,10 @@ class ProbeReport:
     spacing: float
 
 
-def local_energy_probe(f, basis: ModeBasis, a=None):
+def local_energy_probe(f, basis: ModeBasis):
     """Windowed energy H_f = sum_x a f(x) H(x) in the free-mode vacuum.
+
+    The probe spacing a is the basis lattice spacing dx.
 
     Quadratic-form bookkeeping on the lattice: with K the dressed mode
     operator and F = diag(f), the momentum form is Q = a F and the field
@@ -335,10 +337,6 @@ def local_energy_probe(f, basis: ModeBasis, a=None):
     cancellation between the two forms.
     """
     grid = basis.grid
-    if a is None:
-        a = grid.dx
-    if abs(a - grid.dx) > 1e-12 * grid.dx:
-        raise ValidationError("probe spacing must match the basis lattice")
     fvals = np.asarray(f(grid.x) if callable(f) else f, dtype=float)
     if fvals.shape != grid.x.shape:
         raise DimensionMismatch("envelope shape mismatch")
@@ -353,4 +351,4 @@ def local_energy_probe(f, basis: ModeBasis, a=None):
     mean = float(0.5 * np.trace(a_mat))
     variance = float(2.0 * np.sum(b_mat ** 2))
     shift = float(a_mat[0, 0])
-    return ProbeReport(mean, variance, shift, a_mat, b_mat, float(a))
+    return ProbeReport(mean, variance, shift, a_mat, b_mat, float(grid.dx))

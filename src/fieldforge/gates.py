@@ -36,16 +36,13 @@ from .units import natural
 QES_B_MIN = 1.0 - 1e-12
 ENTANGLING_TOL = 1e-6
 BUMP_PEAK = math.exp(-4.0)  # B(1/2), the schedule maximum
+WELL_SAMPLES = 17   # schedule samples of coefficients_from_wells
+WELL_GRID = 701     # grid points of each two-well solve
 
 # occupation basis of two dual-rail qubits (wells 1..4, center pair 2,3);
 # the first four states are the coding subspace |00>, |01>, |10>, |11>
 # with |0> = 01 and |1> = 10 on each rail pair
 BASIS_LABELS = ("0101", "0110", "1001", "1010", "1100", "0011")
-
-
-def eta_constant():
-    """Area of the bump schedule, eta = int_0^1 exp(-1/(s(1-s))) ds."""
-    return bump_integral()
 
 
 @dataclass(frozen=True)
@@ -70,7 +67,7 @@ def z_gate_beta(theta, lambda_pt=2.0, tau=100.0, alpha0=1.0):
         raise ValidationError("need finite tau > 0")
     if not (math.isfinite(theta) and math.isfinite(alpha0)):
         raise ValidationError("need finite theta and alpha0")
-    scale = (lambda_pt - 1.0) ** 2 * tau * alpha0 ** 2 * eta_constant()
+    scale = (lambda_pt - 1.0) ** 2 * tau * alpha0 ** 2 * bump_integral()
     beta = -theta / scale
     achieved = beta * scale
     return ZGateResult(beta, achieved, abs(achieved - (-theta)))
@@ -100,7 +97,7 @@ def x_gate_phase(g, beta, tau, include_idle=True):
     _check_b_schedule(beta)
     rate = 2.0 * g / (1.0 + g)
     idle = 1.0 if include_idle else 0.0
-    return tau * rate * (idle + 2.0 * beta * eta_constant())
+    return tau * rate * (idle + 2.0 * beta * bump_integral())
 
 
 @dataclass(frozen=True)
@@ -129,8 +126,8 @@ class GateCalibration:
             "infidelity": self.infidelity,
         } | self.details
 
-    def to_json(self, indent=2):
-        return json.dumps(self.record(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.record(), indent=2)
 
 
 def calibrate_x_gate(g, beta, target=math.pi, include_idle=True):
@@ -293,9 +290,9 @@ def tune_closure(schedule: TwoQubitSchedule, z_min=1.0):
     return z
 
 
-def entangling_check(alpha, beta, tol=ENTANGLING_TOL):
+def entangling_check(alpha, beta):
     """True when the diagonal gate diag(1, e^{i a}, e^{i b}, 1) is entangling."""
-    return bool(abs(np.exp(1j * (alpha + beta)) - 1.0) > tol)
+    return bool(abs(np.exp(1j * (alpha + beta)) - 1.0) > ENTANGLING_TOL)
 
 
 def gate_infidelity(u_actual, u_target):
@@ -310,9 +307,9 @@ def gate_infidelity(u_actual, u_target):
     return float(max(1.0 - abs(overlap) ** 2, 0.0))
 
 
-def calibrate_entangling(schedule: TwoQubitSchedule, z_min=1.0):
+def calibrate_entangling(schedule: TwoQubitSchedule):
     """Tune closure, propagate, and report the logical gate as a record."""
-    z = tune_closure(schedule, z_min=z_min)
+    z = tune_closure(schedule)
     tuned = schedule.stretched(z)
     u6 = propagate_two_qubit(tuned)
     u4, leakage, alpha, beta = extract_logical(u6)
@@ -370,8 +367,7 @@ def _well_pair_potential(x, separation, depth, width):
                      + _gaussian(x, -separation / 2.0, width))
 
 
-def coefficients_from_wells(trajectory: WellPairTrajectory, lam, m,
-                            n_samples=17, n_grid=701, half_width=None):
+def coefficients_from_wells(trajectory: WellPairTrajectory, lam, m):
     """Six-state coefficients b, c, d from instantaneous two-well solves.
 
     At each schedule sample the center-well pair is solved for its lowest
@@ -381,27 +377,28 @@ def coefficients_from_wells(trajectory: WellPairTrajectory, lam, m,
     d the empty-well shift, both measured against the singly-occupied
     parked reference energy so that all three vanish at the endpoints up to
     the residual tunneling at the parked separation.
+
+    The schedule has WELL_SAMPLES samples, each solved on a WELL_GRID-point
+    grid reaching 9 well widths past the parked wells.
     """
     t = trajectory
-    if half_width is None:
-        half_width = t.ell_max / 2.0 + 9.0 * t.width
-    grid = Grid.symmetric(half_width, n_grid)
+    grid = Grid.symmetric(t.ell_max / 2.0 + 9.0 * t.width, WELL_GRID)
     x = grid.x
     dx = grid.dx
 
     # attractive pair kernel sampled on the relative-coordinate lattice,
     # reused across schedule samples
-    contact, v_attr = effective_potential(np.arange(n_grid) * dx, m, lam)
+    contact, v_attr = effective_potential(np.arange(WELL_GRID) * dx, m, lam)
 
     # singly-occupied reference: one isolated well
     iso = Tabulated(x, -t.depth * _gaussian(x, 0.0, t.width), units=natural(m))
     e_iso = solve_bound_states(iso, grid=grid, max_states=1,
                                tail_tol=1e-5).energies[0]
 
-    s_samples = np.linspace(0.0, 1.0, n_samples)
-    b_arr = np.empty(n_samples)
-    c_arr = np.empty(n_samples)
-    d_arr = np.empty(n_samples)
+    s_samples = np.linspace(0.0, 1.0, WELL_SAMPLES)
+    b_arr = np.empty(WELL_SAMPLES)
+    c_arr = np.empty(WELL_SAMPLES)
+    d_arr = np.empty(WELL_SAMPLES)
     for i, s in enumerate(s_samples):
         ell = t.separation(s)
         pot = Tabulated(x, _well_pair_potential(x, ell, t.depth, t.width),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, ValidationError, _count
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ def hadamard_test(u, psi, part="re", shots=10_000, seed=0):
             f"state dimension {psi.size} does not match U {u.shape}")
     if part not in ("re", "im"):
         raise ValidationError("part must be 're' or 'im'")
-    shots = int(shots)
+    shots = _count(shots, "shots")
     if shots < 1:
         raise ValidationError("need at least one shot")
     norm = np.linalg.norm(psi)

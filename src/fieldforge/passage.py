@@ -202,13 +202,13 @@ class ScaledParameters:
     epsilon_used: float
 
 
-def scale_parameters(epsilon, G=None, prefactors=None):
+def scale_parameters(epsilon, G=None):
     """Parameter ladder (g, lam, B, T) = (e^5, e^4, e^4, e^-8) in units of omega0.
 
     With a gate count G the accuracy target tightens to
     epsilon_used = min(epsilon, G^(-1/4)), which reproduces both
-    lam = min(epsilon^4, 1/G) and T = max(epsilon^-8, G^2).
-    Prefactors default to 1 and multiply term-by-term.
+    lam = min(epsilon^4, 1/G) and T = max(epsilon^-8, G^2).  Every
+    prefactor is 1.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValidationError("need 0 < epsilon < 1")
@@ -217,16 +217,8 @@ def scale_parameters(epsilon, G=None, prefactors=None):
         if G < 1:
             raise ValidationError("need G >= 1")
         eps = min(epsilon, G ** -0.25)
-    pf = {"g": 1.0, "lam": 1.0, "B": 1.0, "T": 1.0}
-    if prefactors:
-        pf.update(prefactors)
-    return ScaledParameters(
-        g=pf["g"] * eps ** 5,
-        lam=pf["lam"] * eps ** 4,
-        B=pf["B"] * eps ** 4,
-        T=pf["T"] * eps ** -8,
-        epsilon_used=eps,
-    )
+    return ScaledParameters(g=eps ** 5, lam=eps ** 4, B=eps ** 4, T=eps ** -8,
+                            epsilon_used=eps)
 
 
 def prep_time_estimate(m, binding):

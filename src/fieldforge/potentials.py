@@ -173,21 +173,29 @@ class SquareBarrier(Potential):
 
 
 class Tabulated(Potential):
-    """Potential sampled on a grid; linear interpolation off-sample."""
+    """Potential sampled on a grid; linear interpolation off-sample.
+
+    The samples must be finite and the x values distinct; they may come in
+    any order.
+    """
 
     def __init__(self, x, v, units=UNIT_KINETIC):
         x = np.asarray(x, dtype=float)
         v = np.asarray(v, dtype=float)
         if x.shape != v.shape or x.ndim != 1:
             raise ValidationError("x and V(x) must be 1d arrays of equal length")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
+            raise ValidationError("x and V(x) must be finite")
         order = np.argsort(x)
         self.x = x[order]
+        if np.any(np.diff(self.x) == 0.0):
+            raise ValidationError("x values must be distinct")
         self.v = v[order]
         self.units = units
         self.asymptote = min(self.v[0], self.v[-1])
 
     @classmethod
-    def from_csv(cls, path, units=UNIT_KINETIC):
+    def from_csv(cls, path):
         """Two columns x, V(x); header row; UTF-8; '.' decimal separator."""
         xs, vs = [], []
         with open(path, newline="", encoding="utf-8") as fh:
@@ -205,10 +213,7 @@ class Tabulated(Potential):
                     raise ValidationError(f"{path}: bad row {row!r}") from exc
         if len(xs) < 8:
             raise ValidationError(f"{path}: need at least 8 samples")
-        return cls(np.array(xs), np.array(vs), units=units)
+        return cls(np.array(xs), np.array(vs))
 
     def __call__(self, x):
         return np.interp(np.asarray(x), self.x, self.v)
-
-    def native_grid(self):
-        return Grid(self.x)

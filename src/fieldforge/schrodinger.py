@@ -16,12 +16,12 @@ from .errors import (
     IntegrationFailure,
     NoBoundStates,
     ValidationError,
+    _count,
 )
 from .potentials import Grid, Potential, SquareBarrier
-from .units import natural
 
 TAIL_TOL = 1e-8
-NORM_TOL = 1e-10
+ODE_RTOL = 1e-10   # relative tolerance of the Wronskian solution integrals
 
 
 @dataclass
@@ -47,8 +47,10 @@ def solve_bound_states(potential, grid=None, max_states=None, tail_tol=TAIL_TOL)
     potential's decay length and widens it (same spacing) until the
     shallowest kept state has decayed too.
     """
-    if max_states is not None and max_states < 1:
-        raise ValidationError("max_states must be at least 1")
+    if max_states is not None:
+        max_states = _count(max_states, "max_states")
+        if max_states < 1:
+            raise ValidationError("max_states must be at least 1")
     if grid is not None:
         return _solve_on_grid(potential, grid, max_states, tail_tol)
     grid = potential.default_grid()
@@ -111,11 +113,6 @@ def _fix_signs(psis):
     psis[psis[np.arange(len(psis)), first] < 0] *= -1.0
 
 
-def exact_energies(potential):
-    """Closed-form spectrum where one exists (see the potential classes)."""
-    return potential.exact_energies()
-
-
 @dataclass
 class TunnelingEstimate:
     wkb_factor: float          # W = exp(-l sqrt(2m(V-E)))
@@ -160,7 +157,7 @@ class _PiecewiseSolution:
         raise ValidationError(f"x = {x} outside the integrated range")
 
 
-def _integrate_solution(potential, z, x_from, x_to, u0, du0, rtol):
+def _integrate_solution(potential, z, x_from, x_to, u0, du0):
     """Propagate (u, u') through c u'' = (V - z) u, splitting at jumps."""
     c = potential.units.kinetic_coefficient
 
@@ -173,7 +170,7 @@ def _integrate_solution(potential, z, x_from, x_to, u0, du0, rtol):
     segments = []
     for seg_end in cuts + [x_to]:
         sol = solve_ivp(rhs, (x_from, seg_end), y, method="RK45",
-                        rtol=rtol, atol=1e-300, dense_output=True)
+                        rtol=ODE_RTOL, atol=1e-300, dense_output=True)
         if not sol.success:
             raise IntegrationFailure(sol.message)
         segments.append((min(x_from, seg_end), max(x_from, seg_end), sol.sol))
@@ -182,7 +179,7 @@ def _integrate_solution(potential, z, x_from, x_to, u0, du0, rtol):
     return _PiecewiseSolution(segments), y
 
 
-def wronskian(potential, z, rtol=1e-10):
+def wronskian(potential, z):
     """W(z) = u_L' u_R - u_L u_R' for the decaying solutions of (H - z)u = 0.
 
     u_L and u_R start from exponential asymptotics with amplitude sqrt(2)
@@ -206,9 +203,9 @@ def wronskian(potential, z, rtol=1e-10):
 
     amp = np.sqrt(2.0)
     # left solution grows as exp(+kap x), amplitude referenced at x_l
-    sol_l, _ = _integrate_solution(potential, z, x_l, x_r, amp, kap * amp, rtol)
+    sol_l, _ = _integrate_solution(potential, z, x_l, x_r, amp, kap * amp)
     # right solution decays as exp(-kap x), amplitude referenced at x_r
-    sol_r, _ = _integrate_solution(potential, z, x_r, x_l, amp, -kap * amp, rtol)
+    sol_r, _ = _integrate_solution(potential, z, x_r, x_l, amp, -kap * amp)
 
     xs = np.linspace(x_l, x_r, 7)[1:-1]
     ws = np.empty(xs.size)
@@ -240,7 +237,7 @@ def barrier_wronskian_closed_form(m, v_height, length):
                       + (m ** 2 + m * v_height) / (m * kap) * np.sinh(kap * length))
 
 
-def dressed_propagator(m, v_height, length, rtol=1e-10):
+def dressed_propagator(m, v_height, length):
     """Two-point amplitude across a square barrier in the quadratic source.
 
     The barrier raises the quadratic source by m*V over a width l, so the
@@ -251,7 +248,7 @@ def dressed_propagator(m, v_height, length, rtol=1e-10):
     if m <= 0:
         raise ValidationError("need m > 0")
     barrier = SquareBarrier(v_height, length, mass=m)
-    w_num = wronskian(barrier, z=-m / 2.0, rtol=rtol).value
+    w_num = wronskian(barrier, z=-m / 2.0).value
     w_closed = barrier_wronskian_closed_form(m, v_height, length)
     m_eff = np.sqrt(m ** 2 + 2.0 * m * v_height)
     ratio = (m ** 2 + m * v_height) / (m * m_eff)
@@ -266,9 +263,9 @@ def dressed_propagator(m, v_height, length, rtol=1e-10):
     )
 
 
-def greens_function(potential, z, x1, x2, rtol=1e-10):
+def greens_function(potential, z, x1, x2):
     """G(x1, x2; z) = u_L(x<) u_R(x>) / (c W); independent of normalization."""
-    res = wronskian(potential, z, rtol=rtol)
+    res = wronskian(potential, z)
     c = potential.units.kinetic_coefficient
     lo, hi = min(x1, x2), max(x1, x2)
     ul = res.u_left(lo)[0]

@@ -20,10 +20,11 @@ from fieldforge.passage import (TwoLevelSweep, check_conditions,
                                 propagate_sweep, rwa_error_bound,
                                 scale_parameters)
 from fieldforge.chirp import ChirpSource, chirp_spectrum, g_component, region_bound
-from fieldforge.adiabatic import TimeDependentHamiltonian, gevrey_bump, propagate
+from fieldforge.adiabatic import (TimeDependentHamiltonian, bump_integral,
+                                  gevrey_bump, propagate)
 from fieldforge.gates import (WellPairTrajectory, calibrate_entangling,
                               calibrate_x_gate, coefficients_from_wells,
-                              eta_constant, x_gate_phase)
+                              x_gate_phase)
 from fieldforge.fieldtheory import (creation_probabilities, local_energy_probe,
                                     mode_decomposition)
 from fieldforge.circuits import GateSpec, LogicalCircuit, ideal_unitary
@@ -43,7 +44,7 @@ def _report(capsys, name, ok, detail):
 
 def test_c01_interface_constant(capsys):
     t0 = time.perf_counter()
-    eta = eta_constant()
+    eta = bump_integral()
     # independent route: Simpson on a uniform grid; the integrand vanishes
     # to all orders at both endpoints
     s = np.linspace(0.0, 1.0, 200001)
@@ -63,7 +64,7 @@ def test_c01_interface_constant(capsys):
 def test_c02_x_gate_calibration(capsys):
     t0 = time.perf_counter()
     g, beta = 0.01, 50.0
-    eta = eta_constant()
+    eta = bump_integral()
     cal = calibrate_x_gate(g, beta, math.pi)
     tau_analytic = math.pi * (1.0 + g) / (2.0 * g * (1.0 + 2.0 * beta * eta))
     ok = abs(cal.parameter_value - tau_analytic) / tau_analytic < 1e-6

@@ -61,10 +61,8 @@ def test_derivative_stencil_matches_analytic():
         return np.array([[2.0 * np.cos(2.0 * s), 0.0], [0.0, -np.sin(s)]])
 
     numeric = TimeDependentHamiltonian(2, h, 5.0)
-    analytic = TimeDependentHamiltonian(2, h, 5.0, dds=dh)
     for s in (0.0, 1e-4, 0.37, 0.82, 1.0):
         np.testing.assert_allclose(numeric.dh_ds(s), dh(s), atol=1e-9)
-        np.testing.assert_allclose(analytic.dh_dt(s), dh(s) / 5.0, atol=1e-15)
 
 
 def test_frame_trajectory_tracks_through_crossing():
@@ -130,7 +128,7 @@ def _four_level(tau):
     b = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     h0, h1 = a + a.conj().T, b + b.conj().T
     return TimeDependentHamiltonian(4, lambda s: h0 + np.sin(3.0 * s) * h1,
-                                    tau, dds=lambda s: 3.0 * np.cos(3.0 * s) * h1)
+                                    tau)
 
 
 def test_frame_generator_matches_loop_oracle():
@@ -234,8 +232,7 @@ def test_evolve_rejects_non_finite_hamiltonian():
 def test_static_hamiltonian_phases():
     # constant H: the frame propagator is exactly diag(exp(-i E_j tau))
     h0 = np.array([[0.3, 0.1], [0.1, -0.2]], dtype=complex)
-    system = TimeDependentHamiltonian(2, lambda s: h0, tau=3.0,
-                                      dds=lambda s: np.zeros((2, 2)))
+    system = TimeDependentHamiltonian(2, lambda s: h0, tau=3.0)
     w = np.linalg.eigh(h0)[0]
     res = propagate(system, 2, mode="reduced", n_samples=201)
     np.testing.assert_allclose(res.unitary, np.diag(np.exp(-1j * w * 3.0)),
@@ -253,6 +250,21 @@ def test_reduced_matches_full():
     # unitarity of the reduced product
     np.testing.assert_allclose(red.unitary @ red.unitary.conj().T, np.eye(2),
                                atol=1e-10)
+
+
+def test_reduced_ignores_untracked_degeneracy():
+    # levels 2 and 3 stay degenerate, but only levels 0 and 1 are tracked
+    def h(s):
+        m = np.diag([0.0, 1.0, 3.0, 3.0]).astype(complex)
+        m[0, 1] = m[1, 0] = 0.1 * np.sin(3.0 * s)
+        return m
+
+    system = TimeDependentHamiltonian(4, h, 2.0)
+    red = propagate(system, 2, mode="reduced")
+    full = propagate(system, 2, mode="full")
+    assert red.unitary.shape == (2, 2)
+    assert full.leakage == 0.0
+    assert np.max(np.abs(red.unitary - full.unitary[:2, :2])) < 1e-6
 
 
 def test_reduced_step_halving():
@@ -399,22 +411,6 @@ def test_evaluator_call_counts():
 
 
 # --- input checks ----------------------------------------------------------
-
-
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("dds", [
-    lambda s: np.full((2, 2), np.nan),
-    lambda s: np.full((2, 2), np.inf),
-    lambda s: np.zeros((3, 3)),
-    lambda s: np.array([[0.0, 1.0], [0.0, 0.0]]),
-], ids=["nan", "inf", "shape", "non-hermitian"])
-def test_analytic_derivative_checked(dds):
-    base = _two_level(4.0)
-    system = TimeDependentHamiltonian(2, base.evaluator, 4.0, dds=dds)
-    with pytest.raises(ValidationError):
-        system.dh_ds(0.5)
-    with pytest.raises(ValidationError):
-        propagate(system, 2, mode="reduced", n_samples=17)
 
 
 @pytest.mark.parametrize("dimension", [2.5, np.nan, np.inf, "two"])

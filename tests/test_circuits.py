@@ -24,6 +24,9 @@ def test_gate_spec_validation():
         GateSpec("zrot", (0,), angle=np.inf)
     with pytest.raises(ValidationError):
         GateSpec("entangling", (0, 1), alpha=np.nan)
+    for bad in (1.5, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            GateSpec("zrot", (bad,))
 
 
 def test_gate_spec_coerces_qubits():
@@ -73,6 +76,11 @@ def test_circuit_validation():
         LogicalCircuit(4, (GateSpec("swap", (0, 2)),))
     with pytest.raises(ValidationError):
         LogicalCircuit(2, ("zrot",))
+    for bad in (2.5, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            LogicalCircuit(bad, ())
+    assert LogicalCircuit(2.0, ()).n_qubits == 2
+    assert type(LogicalCircuit(np.int64(2), ()).n_qubits) is int
 
 
 def test_depth_and_nearest_neighbor():

@@ -80,6 +80,36 @@ def test_eigensolve_tabulated_roundtrip(capsys, tmp_path):
     assert data["energies"][0] == pytest.approx(-1.0, rel=2e-3)
 
 
+@pytest.mark.parametrize("column,value,reason", [
+    ("v", "nan", "finite"), ("v", "inf", "finite"), ("x", "nan", "finite"),
+    ("x", "repeat", "distinct"),
+], ids=["nan-v", "inf-v", "nan-x", "repeated-x"])
+def test_eigensolve_bad_table_exits_three(capsys, tmp_path, column, value,
+                                          reason):
+    # the clean table solves (exit 0); one bad row must name its fault
+    x = [f"{xi:.17g}" for xi in np.linspace(-25.0, 25.0, 201)]
+    v = [f"{-2.0 / np.cosh(float(xi)) ** 2:.17g}" for xi in x]
+    argv = ["eigensolve", "--potential", "csv", "--file",
+            str(tmp_path / "pot.csv"), "--half-width", "20", "--points", "401"]
+
+    def write():
+        (tmp_path / "pot.csv").write_text(
+            "x,v\n" + "".join(f"{a},{b}\n" for a, b in zip(x, v)))
+
+    write()
+    assert run(capsys, argv)[0] == 0
+    row = 100
+    if column == "v":
+        v[row] = value
+    else:
+        x[row] = x[row + 1] if value == "repeat" else value
+    write()
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and reason in err
+
+
 def test_eigensolve_csv_needs_file(capsys):
     code, _, err = run(capsys, ["eigensolve", "--potential", "csv"])
     assert code == 3

@@ -93,6 +93,11 @@ def test_compile_params_resolved():
         CompileParams(m=-1.0).resolved()
     with pytest.raises(ValidationError):
         ScalingConfig(oversampling=0.5)
+    for cap in (2.5, math.nan, "many", 0):
+        with pytest.raises(ValidationError):
+            ScalingConfig(sample_cap=cap)
+    assert ScalingConfig(sample_cap=1000.0).sample_cap == 1000.0
+    assert ScalingConfig(sample_cap=np.int64(1000)).sample_cap == 1000
 
 
 def test_sampling_quadruples_when_mass_doubles():

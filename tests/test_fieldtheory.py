@@ -387,9 +387,6 @@ def test_probe_callable_and_array_agree(probe_basis):
 
 
 def test_probe_validation(probe_basis):
-    ones = np.ones(probe_basis.grid.n)
-    with pytest.raises(ValidationError):
-        local_energy_probe(ones, probe_basis, a=2.0 * probe_basis.grid.dx)
     with pytest.raises(DimensionMismatch):
         local_energy_probe(np.ones(10), probe_basis)
 

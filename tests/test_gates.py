@@ -7,21 +7,21 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fieldforge.adiabatic import gevrey_bump
+from fieldforge.adiabatic import bump_integral, gevrey_bump
 from fieldforge.errors import (DimensionMismatch, NoClosure,
                                SolvabilityViolated, ValidationError)
 from fieldforge.gates import (BASIS_LABELS, TwoQubitSchedule,
                               WellPairTrajectory, calibrate_entangling,
                               calibrate_x_gate, calibrate_z_gate,
                               coefficients_from_wells, entangling_check,
-                              eta_constant, extract_logical, gate_infidelity,
+                              extract_logical, gate_infidelity,
                               propagate_two_qubit, tune_closure, x_gate_phase,
                               z_gate_beta)
 from fieldforge.potentials import Grid, QESDoubleWell, Tabulated
 from fieldforge.schrodinger import solve_bound_states
 from fieldforge.units import natural
 
-ETA = eta_constant()
+ETA = bump_integral()
 
 
 @pytest.mark.parametrize("theta", [np.pi / 2.0, np.pi, 0.3])

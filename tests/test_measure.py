@@ -71,6 +71,11 @@ def test_validation():
         hadamard_test(np.eye(2), PSI2, part="abs")
     with pytest.raises(ValidationError):
         hadamard_test(np.eye(2), PSI2, shots=0)
+    for shots in (2.5, np.nan, np.inf, "ten"):
+        with pytest.raises(ValidationError):
+            hadamard_test(np.eye(2), PSI2, shots=shots)
+    assert hadamard_test(np.eye(2), PSI2, shots=2.0).shots == 2
+    assert hadamard_test(np.eye(2), PSI2, shots=np.int64(3)).shots == 3
 
 
 def test_decision_regions():

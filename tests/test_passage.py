@@ -41,14 +41,6 @@ def test_ladder_gate_count_tightening():
     assert sp.T == pytest.approx(1e8)         # max(eps^-8, G^2)
 
 
-def test_ladder_prefactors():
-    sp = scale_parameters(0.5, prefactors={"g": 2.0, "T": 3.0})
-    base = scale_parameters(0.5)
-    assert sp.g == 2.0 * base.g
-    assert sp.T == 3.0 * base.T
-    assert sp.lam == base.lam
-
-
 @pytest.mark.parametrize("eps", [0.0, 1.0, -0.3])
 def test_ladder_validation(eps):
     with pytest.raises(ValidationError):

@@ -102,6 +102,15 @@ def test_max_states_truncates():
     assert len(states) == 1
 
 
+def test_max_states_must_be_integral():
+    pot, grid = PoschlTeller(1.0, 3.0), Grid.symmetric(25.0, 2001)
+    for bad in (1.5, np.nan, np.inf):
+        with pytest.raises(ValidationError):
+            solve_bound_states(pot, grid=grid, max_states=bad)
+    for ok in (1.0, np.int64(1)):
+        assert len(solve_bound_states(pot, grid=grid, max_states=ok)) == 1
+
+
 def test_wronskian_free_case():
     # V = 0: W = 4 m exp(m l) with the sqrt(2) edge normalization
     free = SquareBarrier(0.0, 1.0, mass=1.0)

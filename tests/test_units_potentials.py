@@ -117,7 +117,6 @@ def test_tabulated_from_csv(tmp_path):
     pot = Tabulated.from_csv(path)
     np.testing.assert_allclose(pot.x, x)
     np.testing.assert_allclose(pot.v, v)
-    assert pot.native_grid().n == 21
 
 
 def test_tabulated_from_csv_rejects_garbage(tmp_path):
