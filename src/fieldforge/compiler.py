@@ -25,6 +25,7 @@ every estimate.
 
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -234,22 +235,30 @@ class CompiledFields:
     def save_csv(self, path):
         """One "t,x,j1,j2" row per sample, time-major, at 17 digits.
 
-        Rows are formatted and written a block of time rows at a time, so
-        the text in memory stays near CSV_BLOCK_VALUES lines.
+        Each block of time rows is one C-level % call: the template repeats
+        the x strings once per row, with the row's t in front, and takes the
+        j1/j2 strings interleaved.  So the text in memory stays near
+        CSV_BLOCK_VALUES lines.
         """
         nt, nx = self.j1.shape
         fmt = "%.17g".__mod__
-        xs = ["," + v + "," for v in map(fmt, self.x.tolist())]
+        row = "".join(["\0," + v + ",%s,%s\n"
+                       for v in map(fmt, self.x.tolist())])
+        times = list(map(fmt, self.t.tolist()))
+        j1, j2 = _row_strings(self.j1, fmt), _row_strings(self.j2, fmt)
         rows = max(1, CSV_BLOCK_VALUES // nx)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("t,x,j1,j2\n")
             for start in range(0, nt, rows):
                 stop = min(start + rows, nt)
-                heads = [ti + xk for ti in map(fmt, self.t[start:stop].tolist())
-                         for xk in xs]
-                j1 = map(fmt, self.j1[start:stop].ravel().tolist())
-                j2 = map(fmt, self.j2[start:stop].ravel().tolist())
-                fh.write("".join(map("%s%s,%s\n".__mod__, zip(heads, j1, j2))))
+                cells = [None] * (2 * nx * (stop - start))
+                cells[0::2] = itertools.chain.from_iterable(
+                    itertools.islice(j1, stop - start))
+                cells[1::2] = itertools.chain.from_iterable(
+                    itertools.islice(j2, stop - start))
+                template = "".join([row.replace("\0", ti)
+                                    for ti in times[start:stop]])
+                fh.write(template % tuple(cells))
 
     @classmethod
     def load(cls, out_dir, basename="fields"):
@@ -274,9 +283,28 @@ class CompiledFields:
                    metadata=header["metadata"])
 
 
+def _row_strings(values, fmt):
+    """Each row of values as a list of fmt strings, lazily.
+
+    compile leaves J1 zero outside the prep windows and J2 equal to the
+    layout outside the ramps and gate windows, so long runs of rows repeat.
+    A row whose bits equal the previous row's reuses its strings.  Bits, not
+    ==, because -0.0 == 0.0 but the two print as "-0" and "0".
+    """
+    bits = text = None
+    for line in values:
+        if (key := line.tobytes()) != bits:
+            bits, text = key, list(map(fmt, line.tolist()))
+        yield text
+
+
 def _config_hash(params: dict, config: ScalingConfig):
-    blob = json.dumps({"params": params, "config": asdict(config)},
-                      sort_keys=True)
+    """sha256 of the compile inputs, numbers as floats: 1 and 1.0 agree."""
+    def canonical(record):
+        return {k: float(v) if isinstance(v, (int, float))
+                and not isinstance(v, bool) else v for k, v in record.items()}
+    blob = json.dumps({"params": canonical(params),
+                       "config": canonical(asdict(config))}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -10,9 +10,10 @@ class ValidationError(FieldForgeError):
 
 
 def _count(value, name):
-    """value as an int; NaN, inf and fractional values are rejected."""
+    """value as an int; strings, NaN, inf and fractions are rejected."""
     try:
-        integral = float(value).is_integer()
+        integral = (not isinstance(value, (str, bytes))
+                    and float(value).is_integer())
     except (TypeError, ValueError, OverflowError):
         integral = False
     if not integral:

@@ -24,7 +24,7 @@ def test_gate_spec_validation():
         GateSpec("zrot", (0,), angle=np.inf)
     with pytest.raises(ValidationError):
         GateSpec("entangling", (0, 1), alpha=np.nan)
-    for bad in (1.5, np.nan, np.inf):
+    for bad in (1.5, np.nan, np.inf, "0.0", "3"):
         with pytest.raises(ValidationError):
             GateSpec("zrot", (bad,))
 

@@ -228,6 +228,16 @@ def test_config_hash_tracks_inputs(mixed_circuit, compiled):
     assert len(compiled.config_hash) == 64
 
 
+def test_config_hash_ignores_number_spelling():
+    circuit = LogicalCircuit(1, (GateSpec("xrot", (0,), angle=0.8),))
+    hashes = [compile(circuit, params,
+                      ScalingConfig(oversampling=over)).config_hash
+              for params, over in ((CompileParams(), 1.0),
+                                   (CompileParams(), 1),
+                                   (CompileParams(m=1), 1.0))]
+    assert hashes[1] == hashes[0] and hashes[2] == hashes[0]
+
+
 def test_save_load_round_trip(compiled, tmp_path):
     compiled.save(tmp_path, csv_fallback=True)
     loaded = CompiledFields.load(tmp_path)
@@ -272,6 +282,15 @@ def test_save_csv_matches_row_loop(tmp_path, monkeypatch, block):
     j1 = rng.normal(size=(13, 7)) * 10.0 ** rng.integers(-300, 300, (13, 7))
     j2 = rng.normal(size=(13, 7))
     j1[0, 0], j1[4, 6], j2[12, 6] = -0.0, 5e-324, -2.5e-310
+    # rows 5-8 repeat in both fields, a run that crosses block edges
+    j1[5:9] = j1[5]
+    j2[5:9] = j2[5]
+    # all-zero rows, then a row that differs only in the sign of its zeros
+    j1[9:11] = 0.0
+    j1[11] = -0.0
+    # in j2, rows 9 and 10 differ only in one zero's sign
+    j2[10] = j2[9]
+    j2[9, 2], j2[10, 2] = 0.0, -0.0
     fields = CompiledFields(t=t, x=x, j1=j1, j2=j2, windows=[], resources=None,
                             params={}, config_hash="", metadata={})
     fields.save_csv(tmp_path / "chunked.csv")
@@ -279,6 +298,21 @@ def test_save_csv_matches_row_loop(tmp_path, monkeypatch, block):
     chunked = (tmp_path / "chunked.csv").read_bytes()
     assert chunked == (tmp_path / "rows.csv").read_bytes()
     assert b",-0," in chunked and b"e-324" in chunked
+    assert b"\n2.5,-3,0," in chunked and b"\n2.75,-3,-0," in chunked
+
+
+def test_save_csv_matches_row_loop_on_compiled(tmp_path):
+    # ramps, prep windows and a gate window: J1 rows repeat outside the
+    # prep windows and J2 rows inside them
+    fields = compile(LogicalCircuit(1, (GateSpec("xrot", (0,), angle=0.8),)),
+                     config=ScalingConfig(oversampling=1))
+    for values in (fields.j1, fields.j2):
+        bits = values.view(np.int64)
+        assert (bits[1:] == bits[:-1]).all(axis=1).any()
+    fields.save_csv(tmp_path / "chunked.csv")
+    _row_loop_csv(fields, tmp_path / "rows.csv")
+    assert ((tmp_path / "chunked.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())
 
 
 def test_load_rejects_corrupt_files(compiled, tmp_path):
