@@ -82,10 +82,12 @@ from .compiler import (
     CompiledFields,
     ResourceEstimate,
     ScalingConfig,
+    Schedule,
     SimulationReport,
     compute_sampling,
     infidelity_budget,
     native_entangling_phases,
+    schedule,
     simulate_schedule,
 )
 from .compiler import compile as compile_circuit

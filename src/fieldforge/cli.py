@@ -21,6 +21,7 @@ native phases of the calibrated well trajectory.
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
@@ -36,6 +37,7 @@ from .compiler import (
     compile as compile_circuit,
     infidelity_budget,
     native_entangling_phases,
+    schedule,
     simulate_schedule,
 )
 from .errors import FieldForgeError, ValidationError
@@ -264,12 +266,12 @@ def _cmd_compile(args):
 def _cmd_verify(args):
     params, scaling = _load_config(args.config)
     circuit = load_circuit(args.circuit, params)
-    compiled = compile_circuit(circuit, params, scaling)
-    report = simulate_schedule(compiled)
+    sched = schedule(circuit, params, scaling)
+    report = simulate_schedule(sched)
     ideal = ideal_unitary(circuit)
     ideal_p = float(abs(ideal[0, 0]) ** 2)
     gap = abs(report.vacuum_return_probability - ideal_p)
-    budget = infidelity_budget(report, compiled)
+    budget = infidelity_budget(report, sched)
     ok = (gap <= report.total_infidelity + 1e-12
           and report.total_infidelity <= budget + 1e-12)
     _emit({
@@ -325,6 +327,7 @@ def _angle(text):
         raise argparse.ArgumentTypeError(f"bad angle {text!r}") from exc
 
 
+@functools.cache
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON file with params/scaling blocks")
@@ -392,7 +395,7 @@ def build_parser():
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("verify", parents=[common],
-                       help="compile, replay, and compare with the ideal unitary")
+                       help="schedule, replay, and compare with the ideal unitary")
     p.add_argument("--circuit", required=True)
     p.set_defaults(func=_cmd_verify)
 

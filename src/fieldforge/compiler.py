@@ -1,20 +1,27 @@
 """Compile logical circuits into source-field schedules J1, J2.
 
-The compiled artifact is a sampled spacetime pair (J1, J2) plus window
-annotations: a smooth turn-on of the double-well layout, one chirped J1
+Compiling takes two steps.  The schedule step (schedule) routes the
+circuit, estimates its resources, calibrates each gate and lays out the
+windows: a smooth turn-on of the double-well layout, one chirped J1
 preparation pulse per qubit, one well-trajectory window per gate, the
-time-reversed preparation, and the turn-off.  Both fields are built from
+time-reversed preparation, and the turn-off.  It fixes the sample grids,
+checks them against the sample cap and returns a Schedule: the window
+records, the resources, the resolved parameters and the metadata, with no
+field sampled.  The render step (inside compile) builds both fields from
 their separable factors.  J1 is the outer product
 (pulse(t) - pulse(T_total - t)) x S(x), with S the sum of the qubits'
-left-well Gaussians; float negation is exact, so the antisymmetry
-J1(T_total - t) = -J1(t) holds bit-exactly on the (symmetric) time grid.
-J2 is envelope(t) x layout(x), and each gate window adds its local
-deformation in place on its own rows.  The artifact keeps only the dense
-grids, which is what the field file stores.
+left-well Gaussians.  Float subtraction is antisymmetric, so on the
+(symmetric) time grid J1(T_total - t) = -J1(t) holds by value, and bit for
+bit on every row where the pulse difference is nonzero.  Where it is zero
+(outside the prep windows) both mirror rows hold +0.0, not the -0.0 of a
+negation.  J2 is envelope(t) x layout(x), and each gate window adds its
+local deformation in place on its own rows.  CompiledFields is the
+Schedule with the two dense grids, which is what the field file stores.
 
 Gate windows carry the calibration records produced by the gates module;
 simulate_schedule replays those records at the gate-model level rather
-than re-solving the field theory, and says so in its metadata.
+than re-solving the field theory, and says so in its metadata.  It reads
+only the Schedule, so a replay needs no rendered field.
 
 Resource estimates follow the scaling model T_prep ~ max(n^8, G^2),
 per-gate time ~ 1/lambda^2 with lambda ~ 1/G, volume ~ n (up to log
@@ -194,16 +201,29 @@ class ScheduleWindow:
 
 
 @dataclass
-class CompiledFields:
+class Schedule:
+    """A compiled schedule without its fields: what simulate_schedule reads.
+
+    The sample grids, the window records with their calibrations, the
+    resource estimate, the resolved parameters and the metadata, which is
+    everything the field file's header holds.
+    """
+
     t: np.ndarray             # (nt,), symmetric: t[nt-1-i] = t[-1] - t[i]
     x: np.ndarray             # (nx,)
-    j1: np.ndarray            # (nt, nx): pulse difference x left-well profile
-    j2: np.ndarray            # (nt, nx): envelope x layout, plus gate windows
     windows: list
     resources: ResourceEstimate
     params: dict
     config_hash: str
     metadata: dict
+
+
+@dataclass
+class CompiledFields(Schedule):
+    """A Schedule with its sampled fields."""
+
+    j1: np.ndarray            # (nt, nx): pulse difference x left-well profile
+    j2: np.ndarray            # (nt, nx): envelope x layout, plus gate windows
 
     def save(self, out_dir, basename="fields", csv_fallback=False):
         """JSON header plus raw little-endian float64 payload (t outer, x inner)."""
@@ -348,11 +368,34 @@ def native_entangling_phases(params: CompileParams = None):
     return cal.achieved_phases[0], cal.achieved_phases[1]
 
 
-def compile(circuit: LogicalCircuit, params: CompileParams = None,
-            config: ScalingConfig = None):
-    """Compile a logical circuit into sampled source fields with annotations."""
-    params = params or CompileParams()
-    config = config or ScalingConfig()
+@dataclass(frozen=True)
+class _RenderInputs:
+    """What the render reads besides the Schedule itself."""
+
+    depth: float
+    width: float
+    centers: np.ndarray       # (n,) qubit block centres
+    wells: np.ndarray         # (n, 2): left and right well of each qubit
+    edges: np.ndarray         # window boundaries, 0 to t_total
+    t_ramp: float
+    chirp: ChirpSource        # the prep pulse, chirp.T its duration
+    gates: list               # (gate, calibration, duration) per gate window
+    beta_x: float
+
+
+def schedule(circuit: LogicalCircuit, params: CompileParams,
+             config: ScalingConfig):
+    """The schedule compile renders, without sampling either field.
+
+    Routing, the resource estimate, the gate calibrations, the window
+    edges and records, the grids and the sample-cap check are all here;
+    nothing of size nt * nx is allocated.
+    """
+    return _plan(circuit, params, config)[0]
+
+
+def _plan(circuit, params, config):
+    """(Schedule, _RenderInputs): the schedule step of schedule and compile."""
     nn = insert_swaps(circuit)
     n = nn.n_qubits
     g_count = len(nn.gates)
@@ -420,71 +463,24 @@ def compile(circuit: LogicalCircuit, params: CompileParams = None,
     t = np.linspace(0.0, t_total, nt)
     x = np.linspace(x0, x1, nx)
 
-    def well(center):
-        return -depth * _gaussian(x, center, width)
-
     # static layout: one double well per qubit, wells[q] = (left, right)
     wells = np.stack([centers - intra / 2.0, centers + intra / 2.0], axis=1)
-    layout = sum(map(well, wells.ravel()))
 
-    windows = []
-
-    # J2 = envelope (x) layout, switched on over the first window and off
-    # over the last; gate windows add their local terms below
-    ramp_up = t < edges[1]
-    ramp_down = t > edges[-2]
-    envelope = np.ones(nt)
-    envelope[ramp_up] = _switch(t[ramp_up] / t_ramp)
-    envelope[ramp_down] = _switch((t_total - t[ramp_down]) / t_ramp)
-    j2 = np.outer(envelope, layout)
-    windows.append(ScheduleWindow("j2_rampup", float(edges[0]),
-                                  float(edges[1])))
-
-    # prep: chirped J1 pulse centered in each qubit's left well, minus its
-    # time reversal; negation is exact, so J1(T - t) = -J1(t) bit for bit
-    prep_t0, prep_t1 = float(edges[1]), float(edges[2])
-    sel = (t >= prep_t0) & (t <= prep_t1)
-    pulse = np.zeros(nt)
-    pulse[sel] = chirp(t[sel] - prep_t0 - t_prep / 2.0)
-    profile = sum(_gaussian(x, c, width) for c in wells[:, 0])
-    j1 = np.outer(pulse - pulse[::-1], profile)
+    # J2 is switched on over the first window and off over the last; the
+    # prep window drives J1, its time reversal takes the particles out
     prep_bound = sp.epsilon_used  # passage error bound with unit prefactor
-    windows.append(ScheduleWindow(
-        "prep", prep_t0, prep_t1, tuple(range(n)),
-        {"eps": sp.epsilon_used, "g": sp.g, "lam_source": sp.lam,
-         "B": sp.B, "T": sp.T, "prep_infidelity_bound": prep_bound}))
-
-    # gate windows: J2 deformations on the window's rows (t >= w0, t < w1)
-    # plus calibration annotations
-    for k, (gate, cal, dur) in enumerate(gate_entries):
-        w0, w1 = float(edges[2 + k]), float(edges[3 + k])
-        rows = slice(*np.searchsorted(t, (w0, w1)))
-        s_local = (t[rows] - w0) / dur if dur > 0 else t[rows] * 0.0
-        bump = gevrey_bump(s_local)
-        if gate.kind == "zrot":
-            # deepen the occupied (left) well of the target qubit
-            amp = abs(cal.parameter_value) / 50.0
-            j2[rows] += np.outer(amp * bump, well(wells[gate.qubits[0], 0]))
-        elif gate.kind == "xrot":
-            # lower the barrier between the target qubit's wells
-            barrier = depth * _gaussian(x, centers[gate.qubits[0]], width / 2.0)
-            j2[rows] += np.outer((params.beta_x / 100.0) * bump, barrier)
-        else:
-            # move the facing center wells of the qubit pair toward each other
-            qa, qb = sorted(gate.qubits)
-            ca, cb = wells[qa, 1], wells[qb, 0]
-            shift = (0.3 * (cb - ca)) * bump[:, None] / BUMP_PEAK
-            moved_a = well(ca + shift)
-            moved_a -= well(ca)
-            moved_b = well(cb - shift)
-            moved_b -= well(cb)
-            moved_a += moved_b
-            j2[rows] += moved_a
+    windows = [
+        ScheduleWindow("j2_rampup", float(edges[0]), float(edges[1])),
+        ScheduleWindow(
+            "prep", float(edges[1]), float(edges[2]), tuple(range(n)),
+            {"eps": sp.epsilon_used, "g": sp.g, "lam_source": sp.lam,
+             "B": sp.B, "T": sp.T, "prep_infidelity_bound": prep_bound}),
+    ]
+    for k, (gate, cal, _) in enumerate(gate_entries):
         note = {"angle": gate.angle, "alpha": gate.alpha, "beta": gate.beta}
         windows.append(ScheduleWindow(
-            f"gate:{gate.kind}", w0, w1, gate.qubits,
-            cal.record() | note))
-
+            f"gate:{gate.kind}", float(edges[2 + k]), float(edges[3 + k]),
+            gate.qubits, cal.record() | note))
     windows.append(ScheduleWindow(
         "reverse_prep", float(edges[-3]), float(edges[-2]), tuple(range(n)),
         {"prep_infidelity_bound": prep_bound}))
@@ -504,10 +500,89 @@ def compile(circuit: LogicalCircuit, params: CompileParams = None,
         "nyquist_dt": 2.0 * math.pi / (2.0 * omega_max),
         "t_total": t_total, "extent": extent,
     }
-    return CompiledFields(
-        t=t, x=x, j1=j1, j2=j2, windows=windows, resources=resources,
+    plan = Schedule(
+        t=t, x=x, windows=windows, resources=resources,
         params=params_record, config_hash=_config_hash(params_record, config),
         metadata=meta)
+    inputs = _RenderInputs(depth=depth, width=width, centers=centers,
+                           wells=wells, edges=edges, t_ramp=t_ramp,
+                           chirp=chirp, gates=gate_entries,
+                           beta_x=params.beta_x)
+    return plan, inputs
+
+
+def _render(plan: Schedule, inputs: _RenderInputs):
+    """(J1, J2) of a planned schedule, built from their factors.
+
+    J1 = (pulse(t) - pulse(T_total - t)) x S(x) and J2 = envelope(t) x
+    layout(x); each gate window then adds its deformation in place on its
+    own rows.
+    """
+    t, x = plan.t, plan.x
+    nt = t.size
+    t_total = plan.metadata["t_total"]
+    depth, width = inputs.depth, inputs.width
+    centers, wells, edges = inputs.centers, inputs.wells, inputs.edges
+    t_ramp, t_prep = inputs.t_ramp, inputs.chirp.T
+
+    def well(center):
+        return -depth * _gaussian(x, center, width)
+
+    layout = sum(map(well, wells.ravel()))
+
+    # J2 = envelope (x) layout, switched on over the first window and off
+    # over the last; gate windows add their local terms below
+    ramp_up = t < edges[1]
+    ramp_down = t > edges[-2]
+    envelope = np.ones(nt)
+    envelope[ramp_up] = _switch(t[ramp_up] / t_ramp)
+    envelope[ramp_down] = _switch((t_total - t[ramp_down]) / t_ramp)
+    j2 = np.outer(envelope, layout)
+
+    # prep: chirped J1 pulse centered in each qubit's left well, minus its
+    # time reversal, so J1(T - t) = -J1(t) by value (see the module note)
+    prep_t0, prep_t1 = float(edges[1]), float(edges[2])
+    sel = (t >= prep_t0) & (t <= prep_t1)
+    pulse = np.zeros(nt)
+    pulse[sel] = inputs.chirp(t[sel] - prep_t0 - t_prep / 2.0)
+    profile = sum(_gaussian(x, c, width) for c in wells[:, 0])
+    j1 = np.outer(pulse - pulse[::-1], profile)
+
+    # gate windows: J2 deformations on the window's rows (t >= w0, t < w1)
+    for k, (gate, cal, dur) in enumerate(inputs.gates):
+        w0, w1 = float(edges[2 + k]), float(edges[3 + k])
+        rows = slice(*np.searchsorted(t, (w0, w1)))
+        s_local = (t[rows] - w0) / dur if dur > 0 else t[rows] * 0.0
+        bump = gevrey_bump(s_local)
+        if gate.kind == "zrot":
+            # deepen the occupied (left) well of the target qubit
+            amp = abs(cal.parameter_value) / 50.0
+            j2[rows] += np.outer(amp * bump, well(wells[gate.qubits[0], 0]))
+        elif gate.kind == "xrot":
+            # lower the barrier between the target qubit's wells
+            barrier = depth * _gaussian(x, centers[gate.qubits[0]], width / 2.0)
+            j2[rows] += np.outer((inputs.beta_x / 100.0) * bump, barrier)
+        else:
+            # move the facing center wells of the qubit pair toward each other
+            qa, qb = sorted(gate.qubits)
+            ca, cb = wells[qa, 1], wells[qb, 0]
+            shift = (0.3 * (cb - ca)) * bump[:, None] / BUMP_PEAK
+            moved_a = well(ca + shift)
+            moved_a -= well(ca)
+            moved_b = well(cb - shift)
+            moved_b -= well(cb)
+            moved_a += moved_b
+            j2[rows] += moved_a
+    return j1, j2
+
+
+def compile(circuit: LogicalCircuit, params: CompileParams = None,
+            config: ScalingConfig = None):
+    """Compile a logical circuit into sampled source fields with annotations."""
+    plan, inputs = _plan(circuit, params or CompileParams(),
+                         config or ScalingConfig())
+    j1, j2 = _render(plan, inputs)
+    return CompiledFields(**vars(plan), j1=j1, j2=j2)
 
 
 @dataclass(frozen=True)
@@ -518,8 +593,8 @@ class SimulationReport:
     metadata: dict
 
 
-def simulate_schedule(compiled: CompiledFields, model_level="gate_models"):
-    """Replay the compiled schedule at the gate-model level.
+def simulate_schedule(sched: Schedule, model_level="gate_models"):
+    """Replay a schedule (or CompiledFields) at the gate-model level.
 
     Rebuilds each gate window's logical gate from its calibration record,
     composes them through ideal_unitary, and combines |<0...0|U|0...0>|^2
@@ -529,13 +604,13 @@ def simulate_schedule(compiled: CompiledFields, model_level="gate_models"):
     """
     if model_level != "gate_models":
         raise ValidationError("only the gate_models level is implemented")
-    n = compiled.metadata["n_qubits"]
-    lam = compiled.resources.lam
+    n = sched.metadata["n_qubits"]
+    lam = sched.resources.lam
     replayed = []
     total_infidelity = 0.0
     eps_prep = 0.0
     eps_gate_max = 0.0
-    for w in compiled.windows:
+    for w in sched.windows:
         if w.label in ("prep", "reverse_prep"):
             bound = w.calibration["prep_infidelity_bound"]
             eps_prep = max(eps_prep, bound)
@@ -580,9 +655,9 @@ def simulate_schedule(compiled: CompiledFields, model_level="gate_models"):
         })
 
 
-def infidelity_budget(report: SimulationReport, compiled: CompiledFields):
+def infidelity_budget(report: SimulationReport, sched: Schedule):
     """The n * eps_prep + G * eps_gate bound implied by the report."""
-    n = compiled.metadata["n_qubits"]
-    g = compiled.metadata["gate_count"]
+    n = sched.metadata["n_qubits"]
+    g = sched.metadata["gate_count"]
     return (n * 2.0 * report.metadata["eps_prep_bound"]
             + g * report.metadata["eps_gate_bound"])

@@ -1,10 +1,15 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from fieldforge.cli import load_circuit, main
+import fieldforge
+from fieldforge import compiler
+from fieldforge.cli import build_parser, load_circuit, main
 from fieldforge.compiler import CompiledFields, native_entangling_phases
 
 
@@ -216,6 +221,66 @@ def test_verify_within_budget(capsys, circuit_file, config_file):
     assert data["total_infidelity"] <= data["infidelity_budget"] + 1e-12
     assert data["ideal_vacuum_probability"] == pytest.approx(
         math.cos(0.4) ** 2, rel=1e-12)
+
+
+def test_verify_renders_no_field(capsys, monkeypatch, circuit_file,
+                                 config_file):
+    def render(*args):
+        raise AssertionError("verify rendered J1/J2")
+    monkeypatch.setattr(compiler, "_render", render)
+    code, out, _ = run(capsys, ["verify", "--circuit", circuit_file,
+                                "--config", config_file])
+    assert code == 0
+    assert json.loads(out)["within_budget"] is True
+
+
+@pytest.mark.parametrize("command", ["compile", "verify"])
+def test_sample_cap_exits_three(capsys, tmp_path, circuit_file, command):
+    config = tmp_path / "cap.json"
+    config.write_text(json.dumps({"params": {"eps": 0.5},
+                                  "scaling": {"sample_cap": 1000}}))
+    code, out, err = run(capsys, [command, "--circuit", circuit_file,
+                                  "--config", str(config),
+                                  "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: schedule needs")
+    assert not (tmp_path / "out").exists()
+
+
+def _fresh_process(argv):
+    """The CLI started on argv in a new interpreter, stdout piped."""
+    src = os.path.dirname(os.path.dirname(fieldforge.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-c",
+         "import sys; from fieldforge.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv],
+        env=env, stdout=subprocess.PIPE, text=True)
+
+
+def test_repeated_main_matches_fresh_processes(capsys, circuit_file,
+                                               config_file):
+    # the parser is built once per process; no parsed value may carry over
+    # from one call to the next
+    calls = [["hadamard", "--circuit", circuit_file, "--seed", "1",
+              "--shots", "500"],
+             ["verify", "--circuit", circuit_file, "--config", config_file],
+             ["hadamard", "--circuit", circuit_file, "--seed", "2",
+              "--shots", "500"],
+             ["hadamard", "--circuit", circuit_file, "--shots", "500"]]
+    fresh = [_fresh_process(argv) for argv in calls]
+    expected = []
+    for proc in fresh:
+        out, _ = proc.communicate()
+        expected.append((proc.returncode, out))
+    got = [run(capsys, argv)[:2] for argv in calls]
+    assert build_parser() is build_parser()
+    assert got == expected
+    seeds = [json.loads(out).get("seed") for _, out in got]
+    assert seeds == [1, None, 2, 0]
 
 
 def test_hadamard_above_threshold(capsys, circuit_file):

@@ -17,6 +17,7 @@ from fieldforge.compiler import (
     compute_sampling,
     infidelity_budget,
     native_entangling_phases,
+    schedule,
     simulate_schedule,
 )
 from fieldforge.errors import (
@@ -155,7 +156,16 @@ def test_routing_happens_inside_compile(compiled, mixed_circuit):
 
 
 def test_j1_antisymmetric_bit_exact(compiled):
-    assert np.array_equal(compiled.j1[::-1], -compiled.j1)
+    # J1(T - t) = -J1(t) by value everywhere and bit for bit on the rows
+    # the prep pulses drive; between them the pulse difference is a - a,
+    # so both mirror rows hold +0.0 rather than a zero and its negation
+    j1, mirror = compiled.j1, compiled.j1[::-1]
+    assert np.array_equal(mirror, -j1)
+    driven = j1.any(axis=1)
+    assert driven.any() and not driven.all()
+    assert np.array_equal(driven, driven[::-1])
+    assert mirror[driven].tobytes() == (-j1[driven]).tobytes()
+    assert not np.signbit(j1[~driven]).any()
 
 
 def test_fields_vanish_at_boundaries(compiled):
@@ -171,8 +181,9 @@ def test_fields_vanish_at_boundaries(compiled):
 
 
 def test_sample_cap_enforced(mixed_circuit):
-    with pytest.raises(BudgetExceeded):
-        compile(mixed_circuit, FAST, ScalingConfig(sample_cap=100_000))
+    for step in (compile, schedule):
+        with pytest.raises(BudgetExceeded):
+            step(mixed_circuit, FAST, ScalingConfig(sample_cap=100_000))
 
 
 def test_non_native_phases_rejected():
@@ -362,6 +373,46 @@ def test_field_build_and_file_io_peak_memory(tmp_path):
     assert compile_peak <= 2.5 * field_bytes
     assert save_peak - before < 0.01 * 2 * field_bytes
     assert load_peak - before_load <= 2.1 * field_bytes
+
+
+def test_schedule_matches_compile(mixed_circuit, compiled):
+    sched = schedule(mixed_circuit, FAST, ScalingConfig())
+    assert not hasattr(sched, "j1") and not hasattr(sched, "j2")
+    assert sched.windows == compiled.windows  # labels, edges, qubits, records
+    assert sched.resources == compiled.resources
+    assert sched.params == compiled.params
+    assert sched.config_hash == compiled.config_hash
+    assert sched.metadata == compiled.metadata
+    assert sched.t.tobytes() == compiled.t.tobytes()
+    assert sched.x.tobytes() == compiled.x.tobytes()
+    replay, again = simulate_schedule(sched), simulate_schedule(compiled)
+    assert replay.logical_unitary.tobytes() == again.logical_unitary.tobytes()
+    assert replay.total_infidelity == again.total_infidelity
+    assert (replay.vacuum_return_probability
+            == again.vacuum_return_probability)
+    assert replay.metadata == again.metadata
+    assert infidelity_budget(replay, sched) == infidelity_budget(again, compiled)
+
+
+def test_schedule_peak_memory():
+    # the circuit of test_field_build_and_file_io_peak_memory: the schedule
+    # holds the grids and records, never a (nt, nx) array
+    circuit = LogicalCircuit(3, (
+        GateSpec("xrot", (0,), angle=1.0),
+        GateSpec("entangling", (0, 1), alpha=ALPHA, beta=BETA),
+        GateSpec("zrot", (2,), angle=0.3),
+    ))
+    params, config = CompileParams(), ScalingConfig()
+    schedule(circuit, params, config)  # the entangling calibration is cached
+    tracemalloc.start()
+    try:
+        sched = schedule(circuit, params, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    field_bytes = sched.t.size * sched.x.size * 8
+    assert field_bytes > 10e6
+    assert peak < 0.05 * field_bytes
 
 
 def test_extent_grows_near_linearly():
