@@ -42,7 +42,15 @@ def gevrey_bump(s):
 
     Smooth, compactly supported, Gevrey order 2: derivative maxima grow
     like k^{2k}.  B(1/2) = e^-4.
+
+    A Python float or int (np.float64 included) takes a scalar route that
+    returns a float with the array route's bits; np.exp, not math.exp,
+    keeps them equal.  Anything else, 0-d arrays included, is an array.
     """
+    if isinstance(s, (float, int)):
+        if 0.0 < s < 1.0:  # False for NaN
+            return float(np.exp(-1.0 / (s * (1.0 - s))))
+        return 0.0
     s = np.asarray(s, dtype=float)
     inside = (s > 0.0) & (s < 1.0)
     out = np.zeros(s.shape)
@@ -72,9 +80,9 @@ class TimeDependentHamiltonian:
     """H(s) for s in [0,1]; physical time is t = s*tau.
 
     evaluator maps one float s to a (dimension, dimension) Hermitian
-    matrix.  stack(s) evaluates it once per sample and checks every
-    sample's shape, finiteness and Hermiticity in one pass; h(s) is the
-    one-sample stack.
+    matrix.  stack(s) evaluates it once per sample, converts the outputs
+    in one array call and checks every sample's shape, finiteness and
+    Hermiticity in one pass; h(s) is the one-sample stack.
     """
     dimension: int
     evaluator: Callable
@@ -91,13 +99,20 @@ class TimeDependentHamiltonian:
         """H at every s, shape s.shape + (d, d), each sample checked."""
         s = np.asarray(s, dtype=float)
         shape = (self.dimension, self.dimension)
-        out = np.empty((s.size,) + shape, dtype=complex)
-        for i, si in enumerate(s.flat):
-            m = np.asarray(self.evaluator(float(si)), dtype=complex)
-            if m.shape != shape:
-                raise ValidationError(f"H({si}) has shape {m.shape}, "
-                                      f"need {shape}")
-            out[i] = m
+        raw = [self.evaluator(float(si)) for si in s.flat]
+        try:
+            # an empty list would stack to shape (0,), not (0, d, d)
+            out = np.array(raw if raw else np.empty((0,) + shape),
+                           dtype=complex)
+        except ValueError:  # ragged: the samples differ in shape
+            out = None
+        if out is None or out.shape[1:] != shape:
+            # name the first sample of the wrong shape
+            for si, m in zip(s.flat, raw):
+                m = np.asarray(m, dtype=complex)
+                if m.shape != shape:
+                    raise ValidationError(f"H({si}) has shape {m.shape}, "
+                                          f"need {shape}")
         skew = np.max(np.abs(out - out.conj().transpose(0, 2, 1)), axis=(1, 2))
         scale = np.maximum(1.0, np.max(np.abs(out), axis=(1, 2)))
         # "not <=" also rejects NaN and inf entries

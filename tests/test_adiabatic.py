@@ -24,6 +24,28 @@ def test_bump_values():
     np.testing.assert_allclose(gevrey_bump(s), gevrey_bump(1.0 - s), atol=1e-18)
 
 
+def test_scalar_bump_matches_array_bits():
+    rng = np.random.default_rng(11)
+    s = np.concatenate([np.linspace(0.0, 1.0, 100_001)[1:-1],
+                        rng.random(20_000),
+                        [1e-3, 0.5, 1.0 - 1e-3, 5e-324, 1.0 - 2.0 ** -53]])
+    scalar = [gevrey_bump(float(v)) for v in s]
+    assert all(type(v) is float for v in scalar)
+    with np.errstate(over="ignore"):  # -1 / (5e-324 (1 - 5e-324)) is -inf
+        array = gevrey_bump(s)
+    assert np.array(scalar).tobytes() == array.tobytes()
+
+    edges = [0.0, 1.0, -0.2, 1.3, np.nan, np.inf, -np.inf]
+    for v in edges + [0, 1]:
+        got = gevrey_bump(v)
+        assert type(got) is float and got == 0.0
+        assert np.float64(got).tobytes() == gevrey_bump(np.array([v])).tobytes()
+    for v in (np.float64(0.25), np.array(0.25)):
+        got = gevrey_bump(v)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == gevrey_bump(np.array([0.25])).tobytes()
+
+
 def test_bump_integral_dual_route():
     eta = bump_integral()
     assert eta == pytest.approx(7.0299e-3, abs=1e-6)
@@ -343,6 +365,21 @@ def test_stack_names_first_non_hermitian_sample():
     system = TimeDependentHamiltonian(2, h, 1.0)
     with pytest.raises(ValidationError, match=r"H\(0\.5\)"):
         system.stack(np.linspace(0.0, 1.0, 5))
+
+
+SHAPE_3 = r"H\(0\.5\) has shape \(3, 3\), need \(2, 2\)"
+
+
+@pytest.mark.parametrize("evaluator, s, message", [
+    (lambda s: np.eye(3), [0.5, 0.75, 1.0], SHAPE_3),
+    (lambda s: np.eye(2 + (s > 0.4)), [0.0, 0.25, 0.5, 0.75], SHAPE_3),
+    (lambda s: np.array([[0.0, np.nan if s > 0.4 else 1.0], [1.0, 0.0]]),
+     [0.0, 0.25, 0.5, 0.75], r"H\(0\.5\) is not a finite Hermitian matrix"),
+])
+def test_stack_names_first_bad_sample(evaluator, s, message):
+    system = TimeDependentHamiltonian(2, evaluator, 1.0)
+    with pytest.raises(ValidationError, match=message):
+        system.stack(np.array(s))
 
 
 def test_batched_derivative_and_generator_match_scalar_calls():
