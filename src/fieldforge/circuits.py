@@ -108,6 +108,23 @@ def ideal_unitary(circuit: LogicalCircuit):
     return u
 
 
+def vacuum_amplitude(circuit: LogicalCircuit):
+    """<0...0|U|0...0> of the circuit, the (0, 0) entry of ideal_unitary.
+
+    The gates act in turn on the all-zero state, held as a (2,) * n array
+    with axis q for qubit q, so no 2^n x 2^n matrix is built.
+    """
+    n = circuit.n_qubits
+    psi = np.zeros((2,) * n, dtype=complex)
+    psi[(0,) * n] = 1.0
+    for gate in circuit.gates:
+        k = len(gate.qubits)
+        u = gate.matrix().reshape((2,) * (2 * k))
+        psi = np.tensordot(u, psi, axes=(range(k, 2 * k), gate.qubits))
+        psi = np.moveaxis(psi, range(k), gate.qubits)
+    return complex(psi[(0,) * n])
+
+
 def insert_swaps(circuit: LogicalCircuit):
     """Rewrite distant entangling gates as swap-conjugated adjacent ones.
 

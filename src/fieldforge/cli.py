@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .chirp import ChirpSource, g_component, region_bound
-from .circuits import GateSpec, LogicalCircuit, ideal_unitary
+from .circuits import GateSpec, LogicalCircuit, ideal_unitary, vacuum_amplitude
 from .compiler import (
     CompileParams,
     ResourceEstimate,
@@ -268,8 +268,7 @@ def _cmd_verify(args):
     circuit = load_circuit(args.circuit, params)
     sched = schedule(circuit, params, scaling)
     report = simulate_schedule(sched)
-    ideal = ideal_unitary(circuit)
-    ideal_p = float(abs(ideal[0, 0]) ** 2)
+    ideal_p = float(abs(vacuum_amplitude(circuit)) ** 2)
     gap = abs(report.vacuum_return_probability - ideal_p)
     budget = infidelity_budget(report, sched)
     ok = (gap <= report.total_infidelity + 1e-12

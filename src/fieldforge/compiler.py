@@ -258,7 +258,14 @@ class CompiledFields(Schedule):
         Each block of time rows is one C-level % call: the template repeats
         the x strings once per row, with the row's t in front, and takes the
         j1/j2 strings interleaved.  So the text in memory stays near
-        CSV_BLOCK_VALUES lines.
+        CSV_BLOCK_VALUES lines, plus the kept text of the mirrored rows.
+
+        A field row is formatted only when it is new (see _row_strings): a
+        row with the bits of the previous row reuses its strings, and a row
+        whose bits are the negation of its mirror row's, row nt - 1 - i,
+        reuses the mirror's text with every sign toggled.  That covers the
+        reverse prep of J1, where J1(T - t) = -J1(t).  Rows that print a
+        NaN are formatted fresh, since "%.17g" drops a NaN's sign.
         """
         nt, nx = self.j1.shape
         fmt = "%.17g".__mod__
@@ -310,11 +317,32 @@ def _row_strings(values, fmt):
     layout outside the ramps and gate windows, so long runs of rows repeat.
     A row whose bits equal the previous row's reuses its strings.  Bits, not
     ==, because -0.0 == 0.0 but the two print as "-0" and "0".
+
+    The reverse prep mirrors the prep, J1(T - t) = -J1(t), so a row in the
+    first half whose bits equal those of its negated mirror row
+    -values[nt - 1 - i] keeps its strings, joined by ",", until that mirror
+    row comes up.  The mirror's strings are then the joined text with each
+    sign toggled: "%.17g" writes "-" only as a leading sign or after "e",
+    so a "-" in front of every cell, with "--" dropped, negates each one.
+    A row that prints a NaN is not kept, because "%.17g" drops the sign of
+    a NaN; its mirror row is formatted like any other.
     """
+    nt = len(values)
+    mirrors = {}
     bits = text = None
-    for line in values:
-        if (key := line.tobytes()) != bits:
-            bits, text = key, list(map(fmt, line.tolist()))
+    for i, line in enumerate(values):
+        key, kept = line.tobytes(), mirrors.pop(i, None)
+        if key != bits:
+            bits = key
+            if kept is None:
+                text = list(map(fmt, line.tolist()))
+            else:
+                text = ("-" + kept.replace(",", ",-")).replace(
+                    "--", "").split(",")
+        if i < nt - 1 - i and (-values[nt - 1 - i]).tobytes() == key:
+            joined = ",".join(text)
+            if "nan" not in joined:
+                mirrors[nt - 1 - i] = joined
         yield text
 
 

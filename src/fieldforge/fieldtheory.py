@@ -341,9 +341,14 @@ def local_energy_probe(f, basis: ModeBasis):
     if fvals.shape != grid.x.shape:
         raise DimensionMismatch("envelope shape mismatch")
     # sum_x a f H(x) is the lattice quadrature of the continuum forms, so
-    # Qt is the dx-weighted overlap of the int psi^2 dx = 1 mode rows
-    v = basis.psis[:, 1:-1]
-    qt = (v * (fvals[1:-1] * grid.dx)) @ v.T
+    # Qt is the dx-weighted overlap of the int psi^2 dx = 1 mode rows; the
+    # points where f is exactly zero add nothing, so the product runs over
+    # the span of its nonzero values only (none: an empty span, Qt = 0)
+    inner = fvals[1:-1]
+    nonzero = np.flatnonzero(inner)
+    lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+    v = basis.psis[:, 1 + lo:1 + hi]
+    qt = (v * (inner[lo:hi] * grid.dx)) @ v.T
     w = basis.omegas
     root = np.sqrt(w[:, None] * w[None, :])
     a_mat = qt * ((w[:, None] + w[None, :]) ** 2 / (4.0 * root))

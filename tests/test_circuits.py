@@ -7,6 +7,7 @@ from fieldforge.circuits import (
     MAX_DENSE_QUBITS,
     ideal_unitary,
     insert_swaps,
+    vacuum_amplitude,
 )
 from fieldforge.errors import TooManyQubits, ValidationError
 
@@ -172,6 +173,30 @@ def test_swap_matches_permutation():
     idx = np.arange(8)
     swapped = ((idx >> 2) & 1) << 1 | ((idx >> 1) & 1) << 2 | (idx & 1)
     np.testing.assert_allclose(u, np.eye(8)[:, swapped].T, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_vacuum_amplitude_matches_ideal_unitary(n):
+    # swaps, distant entanglers in both orders and rotations on every qubit
+    rng = np.random.default_rng(n)
+    kinds = ["xrot", "zrot"] + ["entangling", "swap"] * (n > 1)
+    for _ in range(6):
+        gates = []
+        for kind in rng.choice(kinds, size=int(rng.integers(1, 13))):
+            if kind in ("xrot", "zrot"):
+                gates.append(GateSpec(kind, (int(rng.integers(n)),),
+                                      angle=float(rng.uniform(-3.0, 3.0))))
+            elif kind == "entangling":
+                a, b = rng.choice(n, size=2, replace=False)
+                gates.append(GateSpec(kind, (int(a), int(b)),
+                                      alpha=float(rng.uniform(-3.0, 3.0)),
+                                      beta=float(rng.uniform(-3.0, 3.0))))
+            else:
+                a = int(rng.integers(n - 1))
+                gates.append(GateSpec(kind, (a, a + 1)))
+        circ = LogicalCircuit(n, tuple(gates))
+        assert abs(vacuum_amplitude(circ) - ideal_unitary(circ)[0, 0]) <= 1e-15
+    assert vacuum_amplitude(LogicalCircuit(n, ())) == 1.0
 
 
 def test_insert_swaps_preserves_unitary():

@@ -312,6 +312,65 @@ def test_save_csv_matches_row_loop(tmp_path, monkeypatch, block):
     assert b"\n2.5,-3,0," in chunked and b"\n2.75,-3,-0," in chunked
 
 
+def _mirrored_rows(rng, nt, nx):
+    """Random rows where row i and row nt - 1 - i meet every mirror case."""
+    values = (rng.normal(size=(nt, nx))
+              * 10.0 ** rng.integers(-300, 300, (nt, nx)))
+
+    def mirror(i):
+        values[nt - 1 - i] = -values[i]
+
+    values[0, :4] = 5e-324, -2.5e-310, 1e-300, -np.inf
+    mirror(0)
+    # +0.0 on both sides is not a negation
+    values[1] = values[nt - 2] = 0.0
+    # a negation except for one zero's sign
+    values[2, 1] = 0.0
+    mirror(2)
+    values[nt - 3, 1] = 0.0
+    # "%.17g" drops a NaN's sign, so this pair is formatted twice
+    values[3, 2] = np.nan
+    mirror(3)
+    # a repeated row and its mirror run
+    values[5] = values[4]
+    mirror(4)
+    mirror(5)
+    # the innermost pair: around the centre row, or adjacent for even nt
+    mirror(nt // 2 - 1)
+    return values
+
+
+@pytest.mark.parametrize("nt", [15, 16])
+@pytest.mark.parametrize("block", [3, 20, compiler.CSV_BLOCK_VALUES])
+def test_save_csv_reuses_mirror_rows_like_row_loop(tmp_path, monkeypatch,
+                                                   block, nt):
+    # with nx = 5, blocks of 3 and 20 values hold one and four time rows,
+    # so every mirror pair crosses a block edge
+    monkeypatch.setattr(compiler, "CSV_BLOCK_VALUES", block)
+    rng = np.random.default_rng(nt)
+    nx = 5
+    j1, j2 = _mirrored_rows(rng, nt, nx), _mirrored_rows(rng, nt, nx)
+    fields = CompiledFields(t=np.linspace(0.0, 1.0, nt),
+                            x=np.linspace(-1.0, 1.0, nx), j1=j1, j2=j2,
+                            windows=[], resources=None, params={},
+                            config_hash="", metadata={})
+    fields.save_csv(tmp_path / "chunked.csv")
+    _row_loop_csv(fields, tmp_path / "rows.csv")
+    chunked = (tmp_path / "chunked.csv").read_bytes()
+    assert chunked == (tmp_path / "rows.csv").read_bytes()
+    for text in (b",-inf,", b",inf,", b",nan,", b"e-324,", b"e-310,"):
+        assert text in chunked
+    assert b",-nan," not in chunked
+    # row 5 repeats row 4; the mirrors of rows 0, 4, 5 and nt // 2 - 1
+    # reuse the kept text, so those five rows format no value
+    formatted = []
+    fmt = "%.17g".__mod__
+    rows = list(compiler._row_strings(j1, lambda v: formatted.append(v)
+                                      or fmt(v)))
+    assert rows == [list(map(fmt, line.tolist())) for line in j1]
+    assert len(formatted) == (nt - 5) * nx
+
+
 def test_save_csv_matches_row_loop_on_compiled(tmp_path):
     # ramps, prep windows and a gate window: J1 rows repeat outside the
     # prep windows and J2 rows inside them
@@ -320,6 +379,10 @@ def test_save_csv_matches_row_loop_on_compiled(tmp_path):
     for values in (fields.j1, fields.j2):
         bits = values.view(np.int64)
         assert (bits[1:] == bits[:-1]).all(axis=1).any()
+    # the reverse prep mirrors the prep: J1 rows that are the bitwise
+    # negation of their mirror rows
+    bits, negated = fields.j1.view(np.int64), (-fields.j1).view(np.int64)
+    assert (bits == negated[::-1]).all(axis=1).any()
     fields.save_csv(tmp_path / "chunked.csv")
     _row_loop_csv(fields, tmp_path / "rows.csv")
     assert ((tmp_path / "chunked.csv").read_bytes()

@@ -412,7 +412,8 @@ def _two_product_probe(f, basis):
 
 
 @pytest.mark.parametrize("n_continuum", [None, 5])
-@pytest.mark.parametrize("window", ["sharp", "smooth"])
+@pytest.mark.parametrize("window", ["sharp", "smooth", "edge", "zero",
+                                    "signed"])
 def test_probe_matches_two_product_formula(window, n_continuum):
     grid = Grid.symmetric(20.0, 301)
     basis = mode_decomposition(square_well(grid.x), 1.0, grid,
@@ -420,11 +421,21 @@ def test_probe_matches_two_product_formula(window, n_continuum):
     x = grid.x
     if window == "sharp":
         f = (np.abs(x) <= 2.0).astype(float)
-    else:
+    elif window == "smooth":
         f = np.exp(-x ** 2 / (2.0 * 6.0 ** 2))
+    elif window == "edge":
+        # off centre, through the last grid point
+        f = (x >= 7.0) * (1.0 + 0.1 * x)
+    elif window == "zero":
+        f = np.zeros_like(x)
+    else:
+        # negative values and interior zeros inside the nonzero span
+        f = np.where(np.abs(x + 3.0) <= 6.0, np.sin(x), 0.0)
     report = local_energy_probe(f, basis)
     a_ref, b_ref = _two_product_probe(f, basis)
     np.testing.assert_allclose(report.a_matrix, a_ref, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(report.b_matrix, b_ref, rtol=0.0, atol=1e-10)
     assert report.mean == pytest.approx(0.5 * np.trace(a_ref), rel=1e-12)
     assert report.shift == pytest.approx(a_ref[0, 0], rel=1e-12)
+    if window == "zero":
+        assert not report.a_matrix.any() and not report.b_matrix.any()
