@@ -1,10 +1,13 @@
 """Command-line interface.
 
 Subcommands: eigensolve, passage, spectrum, calibrate (x|z|entangling),
-compile, verify, hadamard, estimate-resources.  Results go to stdout as
-JSON (or CSV with --format csv where a table makes sense).  JSON floats
-print as their shortest repr and CSV floats with 17 significant digits,
-so values round-trip exactly either way.
+compile, verify, hadamard, estimate-resources.  verify and
+estimate-resources plan a circuit's schedule without sampling J1 and J2;
+estimate-resources prints the resources read off that schedule: the prep
+and gate window lengths, the extent and the sample and bit counts.
+Results go to stdout as JSON (or CSV with --format csv where a table
+makes sense).  JSON floats print as their shortest repr and CSV floats
+with 17 significant digits, so values round-trip exactly either way.
 
 Exit codes: 0 success, 2 promise_violated (hadamard decision), 3
 validation or verification failure.
@@ -32,7 +35,6 @@ from .chirp import ChirpSource, g_component, region_bound
 from .circuits import GateSpec, LogicalCircuit, ideal_unitary, vacuum_amplitude
 from .compiler import (
     CompileParams,
-    ResourceEstimate,
     ScalingConfig,
     compile as compile_circuit,
     infidelity_budget,
@@ -251,14 +253,7 @@ def _cmd_compile(args):
         "extent": compiled.metadata["extent"],
         "config_hash": compiled.config_hash,
         "windows": [w.label for w in compiled.windows],
-        "resources": {
-            "lam": compiled.resources.lam,
-            "t_prep": compiled.resources.t_prep,
-            "gate_time": compiled.resources.gate_time,
-            "total_gate_time": compiled.resources.total_gate_time,
-            "volume": compiled.resources.volume,
-            "bit_count": compiled.resources.bit_count,
-        },
+        "resources": dataclasses.asdict(compiled.resources),
     })
     return 0
 
@@ -306,16 +301,10 @@ def _cmd_hadamard(args):
 
 
 def _cmd_estimate_resources(args):
-    _, scaling = _load_config(args.config)
-    est = ResourceEstimate.from_counts(args.qubits, args.gates,
-                                       args.depth, scaling)
-    _emit({
-        "n_qubits": est.n_qubits, "gate_count": est.gate_count,
-        "depth": est.depth, "lam": est.lam, "t_prep": est.t_prep,
-        "gate_time": est.gate_time, "total_gate_time": est.total_gate_time,
-        "volume": est.volume, "bit_count": est.bit_count,
-        "config": est.config,
-    })
+    params, scaling = _load_config(args.config)
+    circuit = load_circuit(args.circuit, params)
+    sched = schedule(circuit, params, scaling)
+    _emit(dataclasses.asdict(sched.resources))
     return 0
 
 
@@ -406,10 +395,8 @@ def build_parser():
     p.set_defaults(func=_cmd_hadamard)
 
     p = sub.add_parser("estimate-resources", parents=[common],
-                       help="scaling-model resource estimate")
-    p.add_argument("--qubits", type=int, required=True)
-    p.add_argument("--gates", type=int, required=True)
-    p.add_argument("--depth", type=int, required=True)
+                       help="resources of the compiled schedule")
+    p.add_argument("--circuit", required=True)
     p.set_defaults(func=_cmd_estimate_resources)
 
     return parser

@@ -1,14 +1,14 @@
 """Compile logical circuits into source-field schedules J1, J2.
 
 Compiling takes two steps.  The schedule step (schedule) routes the
-circuit, estimates its resources, calibrates each gate and lays out the
-windows: a smooth turn-on of the double-well layout, one chirped J1
-preparation pulse per qubit, one well-trajectory window per gate, the
-time-reversed preparation, and the turn-off.  It fixes the sample grids,
-checks them against the sample cap and returns a Schedule: the window
-records, the resources, the resolved parameters and the metadata, with no
-field sampled.  The render step (inside compile) builds both fields from
-their separable factors.  J1 is the outer product
+circuit, calibrates each gate and lays out the windows: a smooth turn-on
+of the double-well layout, one chirped J1 preparation pulse per qubit, one
+well-trajectory window per gate, the time-reversed preparation, and the
+turn-off.  It fixes the sample grids, checks them against the sample cap
+and returns a Schedule: the window records, the resources read off them,
+the resolved parameters and the metadata, with no field sampled.  The
+render step (inside compile) builds both fields from their separable
+factors.  J1 is the outer product
 (pulse(t) - pulse(T_total - t)) x S(x), with S the sum of the qubits'
 left-well Gaussians.  Float subtraction is antisymmetric, so on the
 (symmetric) time grid J1(T_total - t) = -J1(t) holds by value, and bit for
@@ -23,11 +23,13 @@ simulate_schedule replays those records at the gate-model level rather
 than re-solving the field theory, and says so in its metadata.  It reads
 only the Schedule, so a replay needs no rendered field.
 
-Resource estimates follow the scaling model T_prep ~ max(n^8, G^2),
-per-gate time ~ 1/lambda^2 with lambda ~ 1/G, volume ~ n (up to log
-factors), and bit count ~ n G^2 D; only the exponents are fixed, so all
-prefactors live in ScalingConfig with defaults of 1 and are echoed into
-every estimate.
+The resources are read off the plan, not modelled beside it.  The prep
+window lasts the passage ladder's T / m = max(eps^-8, G^2) / m, so eps
+fixes it for G <= eps^-4, whatever n.  Each gate window lasts what its
+calibration asks for (tau_z for a Z rotation, the X parameter over m, the
+entangling trajectory's stretched tau), not 1/lambda^2.  The extent is
+affine in n, one block pitch per qubit, and the sample count is 2 nt nx,
+at 64 bits a sample.
 """
 
 import functools
@@ -57,27 +59,22 @@ from .passage import scale_parameters
 from .schrodinger import tunneling_and_interaction_estimates
 
 INTER_QUBIT_TUNNELING = 1e-10
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 CSV_BLOCK_VALUES = 1 << 12   # samples per save_csv write (about 300 kB of text)
 
 
 @dataclass(frozen=True)
 class ScalingConfig:
-    """Prefactors of the resource scaling model (exponents are fixed)."""
+    """The coupling budget lambda G, the oversampling and the sample cap."""
 
-    prep_prefactor: float = 1.0
-    gate_prefactor: float = 1.0
-    volume_prefactor: float = 1.0
-    bits_prefactor: float = 1.0
     lambda_prefactor: float = 1.0
     oversampling: float = 4.0
     sample_cap: int = 24_000_000
 
     def __post_init__(self):
-        for name in ("prep_prefactor", "gate_prefactor", "volume_prefactor",
-                     "bits_prefactor", "lambda_prefactor"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and positive")
+        if not 0 < self.lambda_prefactor < math.inf:
+            raise ValidationError(
+                "lambda_prefactor must be finite and positive")
         if not 1.0 <= self.oversampling < math.inf:
             raise ValidationError("oversampling must be finite and >= 1")
         if _count(self.sample_cap, "sample_cap") < 1:
@@ -86,47 +83,33 @@ class ScalingConfig:
 
 @dataclass(frozen=True)
 class ResourceEstimate:
+    """The resources of a planned schedule, read off its windows and grids.
+
+    t_prep is the prep window's length, gate_times each gate window's
+    length in gate order, extent the spatial extent and samples the
+    2 nt nx values of J1 and J2, at 64 bits each in bit_count.
+    """
+
     n_qubits: int
     gate_count: int
-    depth: int
     lam: float
     t_prep: float
-    gate_time: float
+    gate_times: tuple
     total_gate_time: float
-    volume: float
-    bit_count: float
+    extent: float
+    samples: int
+    bit_count: int
     config: dict
 
     def __post_init__(self):
-        for name in ("lam", "t_prep", "gate_time", "total_gate_time",
-                     "volume", "bit_count"):
+        # a field file's header holds gate_times as a JSON list
+        object.__setattr__(self, "gate_times", tuple(self.gate_times))
+        for name in ("lam", "t_prep", "extent", "samples", "bit_count"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be positive")
         pref = self.config.get("lambda_prefactor", 1.0)
         if self.lam * max(self.gate_count, 1) > pref * (1.0 + 1e-12):
             raise ValidationError("lambda G exceeds its prefactor budget")
-
-    @classmethod
-    def from_counts(cls, n_qubits, gate_count, depth, config: ScalingConfig):
-        if not (n_qubits >= 1 and gate_count >= 0 and depth >= 0):
-            raise ValidationError(
-                "need n_qubits >= 1 and non-negative gate count and depth")
-        g = max(gate_count, 1)
-        lam = config.lambda_prefactor / g
-        gate_time = config.gate_prefactor / lam ** 2
-        return cls(
-            n_qubits=n_qubits,
-            gate_count=gate_count,
-            depth=depth,
-            lam=lam,
-            t_prep=config.prep_prefactor * max(n_qubits ** 8, g ** 2),
-            gate_time=gate_time,
-            total_gate_time=gate_time * max(depth, 1),
-            volume=config.volume_prefactor * n_qubits
-                   * (1.0 + math.log(max(n_qubits, 2))),
-            bit_count=config.bits_prefactor * n_qubits * g ** 2 * max(depth, 1),
-            config=asdict(config),
-        )
 
 
 @dataclass(frozen=True)
@@ -165,7 +148,7 @@ class CompileParams:
         return m, depth, width, intra, tau_z
 
 
-def compute_sampling(t_total, extent, omega_max, m, oversampling=4.0):
+def compute_sampling(t_total, extent, omega_max, m, oversampling):
     """Sample counts (nt, nx, dt_max, dx_max) for a spacetime window.
 
     Nyquist in time against omega_max and in space against the correlation
@@ -205,7 +188,7 @@ class Schedule:
     """A compiled schedule without its fields: what simulate_schedule reads.
 
     The sample grids, the window records with their calibrations, the
-    resource estimate, the resolved parameters and the metadata, which is
+    resources, the resolved parameters and the metadata, which is
     everything the field file's header holds.
     """
 
@@ -377,8 +360,8 @@ def _entangling_window(params: CompileParams):
     """Canonical entangling trajectory and its calibration (cached).
 
     The trajectory uses the fixed gate-level coupling params.lam_gate, not
-    the resource-model lambda ~ 1/G, so the native phases do not depend on
-    the circuit being compiled.
+    the replay's lambda = lambda_prefactor / G, so the native phases do not
+    depend on the circuit being compiled.
     """
     m, depth, width, intra, _ = params.resolved()
     pair_width = 0.7 * width
@@ -415,9 +398,9 @@ def schedule(circuit: LogicalCircuit, params: CompileParams,
              config: ScalingConfig):
     """The schedule compile renders, without sampling either field.
 
-    Routing, the resource estimate, the gate calibrations, the window
-    edges and records, the grids and the sample-cap check are all here;
-    nothing of size nt * nx is allocated.
+    Routing, the gate calibrations, the window edges and records, the
+    grids, the sample-cap check and the resources read off them are all
+    here; nothing of size nt * nx is allocated.
     """
     return _plan(circuit, params, config)[0]
 
@@ -427,10 +410,10 @@ def _plan(circuit, params, config):
     nn = insert_swaps(circuit)
     n = nn.n_qubits
     g_count = len(nn.gates)
-    resources = ResourceEstimate.from_counts(n, g_count, nn.depth(), config)
+    lam = config.lambda_prefactor / max(g_count, 1)
 
     m, depth, width, intra, tau_z = params.resolved()
-    gap, tunneling = _inter_qubit_gap(m, depth, resources.lam)
+    gap, tunneling = _inter_qubit_gap(m, depth, lam)
     pitch = intra + gap
     margin = 8.0 * width
     centers = np.array([q * pitch for q in range(n)])
@@ -484,9 +467,10 @@ def _plan(circuit, params, config):
     omega_max = omega0 * 1.25 + band / 2.0
     nt, nx, _, _ = compute_sampling(t_total, extent, omega_max, m,
                                     config.oversampling)
-    if 2 * nt * nx > config.sample_cap:
+    samples = 2 * nt * nx
+    if samples > config.sample_cap:
         raise BudgetExceeded(
-            f"schedule needs {2 * nt * nx} samples, cap is {config.sample_cap}")
+            f"schedule needs {samples} samples, cap is {config.sample_cap}")
     # symmetric grids: t[nt-1-i] = t_total - t[i] exactly under linspace
     t = np.linspace(0.0, t_total, nt)
     x = np.linspace(x0, x1, nx)
@@ -528,6 +512,12 @@ def _plan(circuit, params, config):
         "nyquist_dt": 2.0 * math.pi / (2.0 * omega_max),
         "t_total": t_total, "extent": extent,
     }
+    gate_times = tuple(np.diff(edges[2:-2]).tolist())
+    resources = ResourceEstimate(
+        n_qubits=n, gate_count=g_count, lam=lam,
+        t_prep=float(edges[2] - edges[1]), gate_times=gate_times,
+        total_gate_time=sum(gate_times, 0.0), extent=float(extent),
+        samples=samples, bit_count=64 * samples, config=asdict(config))
     plan = Schedule(
         t=t, x=x, windows=windows, resources=resources,
         params=params_record, config_hash=_config_hash(params_record, config),
@@ -580,7 +570,7 @@ def _render(plan: Schedule, inputs: _RenderInputs):
     for k, (gate, cal, dur) in enumerate(inputs.gates):
         w0, w1 = float(edges[2 + k]), float(edges[3 + k])
         rows = slice(*np.searchsorted(t, (w0, w1)))
-        s_local = (t[rows] - w0) / dur if dur > 0 else t[rows] * 0.0
+        s_local = (t[rows] - w0) / dur
         bump = gevrey_bump(s_local)
         if gate.kind == "zrot":
             # deepen the occupied (left) well of the target qubit

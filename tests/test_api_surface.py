@@ -10,7 +10,7 @@ import pathlib
 
 import fieldforge
 
-SETTABLE_VALUES = 82
+SETTABLE_VALUES = 77
 
 
 def _settable(tree):

@@ -10,7 +10,14 @@ import pytest
 import fieldforge
 from fieldforge import compiler
 from fieldforge.cli import build_parser, load_circuit, main
-from fieldforge.compiler import CompiledFields, native_entangling_phases
+from fieldforge.compiler import (
+    CompiledFields,
+    CompileParams,
+    ResourceEstimate,
+    ScalingConfig,
+    native_entangling_phases,
+    schedule,
+)
 
 
 def run(capsys, argv):
@@ -310,18 +317,18 @@ def test_hadamard_promise_violated_exit_code(capsys, tmp_path):
     assert data["p0_exact"] == pytest.approx(0.5)
 
 
-def test_estimate_resources(capsys):
-    code, out, _ = run(capsys, ["estimate-resources", "--qubits", "4",
-                                "--gates", "10", "--depth", "10"])
+def test_estimate_resources(capsys, circuit_file, config_file):
+    code, out, _ = run(capsys, ["estimate-resources", "--circuit",
+                                circuit_file, "--config", config_file])
     assert code == 0
     data = json.loads(out)
-    assert data["t_prep"] == 65536.0
-    assert data["lam"] == pytest.approx(0.1)
-    assert data["volume"] == pytest.approx(4.0 * (1.0 + math.log(4.0)),
-                                           rel=1e-15)
-    # 17 significant digits round-trip exactly
-    raw = out.split('"volume": ')[1].split(",")[0]
-    assert float(raw) == data["volume"]
+    params = CompileParams(eps=0.5)
+    sched = schedule(load_circuit(circuit_file, params), params,
+                     ScalingConfig())
+    assert ResourceEstimate(**data) == sched.resources
+    prep = sched.windows[1]
+    assert data["t_prep"] == prep.t_end - prep.t_start
+    assert data["samples"] == 2 * sched.t.size * sched.x.size
 
 
 def test_bad_inputs_exit_three(capsys, tmp_path):
@@ -355,13 +362,15 @@ XROT = {"n_qubits": 1, "gates": [{"kind": "xrot", "qubits": [0]}]}
     (XROT, {"scaling": {"sample_cap": math.nan}}),
     (XROT, {"scaling": {"sample_cap": 2.5}}),
     (XROT, {"scaling": {"oversampling": math.nan}}),
-    (XROT, {"scaling": {"gate_prefactor": math.inf}}),
+    (XROT, {"scaling": {"lambda_prefactor": math.inf}}),
+    (XROT, {"scaling": {"gate_prefactor": 1.0}}),
     (XROT, {"params": {"well_width": math.nan}}),
     (XROT, {"params": {"m": math.inf}}),
 ], ids=["gate-not-object", "qubit-not-integer", "angle-not-number",
         "param-not-number", "param-null", "qubit-fractional", "qubit-bool",
         "n-qubits-string", "sample-cap-nan", "sample-cap-fractional",
-        "oversampling-nan", "prefactor-inf", "well-width-nan", "m-inf"])
+        "oversampling-nan", "prefactor-inf", "scaling-unknown-key",
+        "well-width-nan", "m-inf"])
 def test_malformed_json_exits_three(capsys, tmp_path, circuit, config):
     path = tmp_path / "circ.json"
     path.write_text(json.dumps(circuit))
@@ -400,8 +409,8 @@ def test_nonpositive_counts_exit_three(capsys, argv):
     ["eigensolve", "--potential", "qes", "--g", "nan"],
     ["eigensolve", "--potential", "qes", "--b", "nan"],
     ["eigensolve", "--potential", "poschl-teller", "--half-width", "nan"],
-    ["estimate-resources", "--qubits", "2", "--gates", "-3", "--depth", "2"],
-    ["estimate-resources", "--qubits", "2", "--gates", "3", "--depth", "-2"],
+    ["estimate-resources", "--circuit", "missing.json"],
+    ["estimate-resources", "--circuit", "circ.json", "--config", "cap.json"],
     ["calibrate", "z", "--tau", "nan"],
     ["calibrate", "x", "--beta", "nan"],
     ["calibrate", "x", "--g", "nan"],
@@ -410,9 +419,17 @@ def test_nonpositive_counts_exit_three(capsys, argv):
     ["passage", "--eps", "0.2", "--big-c", "0"],
     ["passage", "--eps", "0.2", "--big-c", "inf"],
 ], ids=["spectrum-omega0", "pt-alpha", "pt-lam", "qes-g", "qes-b",
-        "half-width", "gates-negative", "depth-negative", "z-tau", "x-beta",
-        "x-g", "big-c-nan", "big-c-negative", "big-c-zero", "big-c-inf"])
-def test_nan_and_negative_inputs_exit_three(capsys, argv):
+        "half-width", "circuit-missing", "above-sample-cap", "z-tau",
+        "x-beta", "x-g", "big-c-nan", "big-c-negative", "big-c-zero",
+        "big-c-inf"])
+def test_nan_and_negative_inputs_exit_three(capsys, tmp_path, monkeypatch,
+                                            argv):
+    # file arguments name files in tmp_path; circ.json needs more samples
+    # than cap.json allows
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "circ.json").write_text(json.dumps(XROT))
+    (tmp_path / "cap.json").write_text(
+        json.dumps({"scaling": {"sample_cap": 1000}}))
     code, out, err = run(capsys, argv)
     assert code == 3
     assert out == ""

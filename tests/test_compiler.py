@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -53,33 +55,67 @@ def test_native_phases_are_stable():
     assert abs(math.remainder(a + b, 2.0 * math.pi)) > 1e-3
 
 
-def test_resource_estimate_from_counts():
-    est = ResourceEstimate.from_counts(4, 10, 10, ScalingConfig())
-    assert est.t_prep == 65536.0          # n^8 dominates G^2
-    assert est.lam == pytest.approx(0.1)
-    assert est.gate_time == pytest.approx(100.0)
-    assert est.total_gate_time == pytest.approx(1000.0)
-    assert est.volume == pytest.approx(4.0 * (1.0 + math.log(4.0)))
-    assert est.bit_count == pytest.approx(4.0 * 100.0 * 10.0)
-    small = ResourceEstimate.from_counts(2, 100, 100, ScalingConfig())
-    assert small.t_prep == 10000.0        # G^2 dominates n^8
-
-
-def test_resource_estimate_validation():
-    est = ResourceEstimate.from_counts(2, 5, 5, ScalingConfig())
+def test_resource_estimate_validation(compiled):
+    est = compiled.resources
     with pytest.raises(ValidationError):
         ResourceEstimate(**{**est.__dict__, "lam": 0.0})
     with pytest.raises(ValidationError):
         # lam G beyond the prefactor budget
         ResourceEstimate(**{**est.__dict__, "lam": 1.0})
+    with pytest.raises(ValidationError):
+        ResourceEstimate(**{**est.__dict__, "samples": 0})
+    listed = ResourceEstimate(**{**est.__dict__,
+                                 "gate_times": list(est.gate_times)})
+    assert listed == est
 
 
-def test_volume_scaling_near_linear():
-    vols = [ResourceEstimate.from_counts(n, 4, 4, ScalingConfig()).volume
-            for n in (2, 4, 8)]
-    for n, v in zip((2, 4, 8), vols):
-        assert v <= 1.0 * n * (1.0 + math.log(n)) * (1.0 + 1e-12)
-        assert v >= n
+def _serial_circuit(n, g):
+    """g gates cycling z, x and a nearest-neighbour entangler over n qubits."""
+    gates = []
+    for k in range(g):
+        q = k % n
+        if k % 3 == 0 or n == 1:
+            gates.append(GateSpec("zrot", (q,), angle=0.3 + 0.01 * k))
+        elif k % 3 == 1:
+            gates.append(GateSpec("xrot", (q,), angle=0.3 + 0.01 * k))
+        else:
+            pair = (q, q + 1) if q + 1 < n else (q - 1, q)
+            gates.append(GateSpec("entangling", pair, alpha=ALPHA, beta=BETA))
+    return LogicalCircuit(n, tuple(gates))
+
+
+def test_resources_read_off_the_schedule():
+    # schedule allocates no field, so a large cap plans every (n, G)
+    config = ScalingConfig(sample_cap=10 ** 12)
+    preps, extents = set(), {}
+    for n in range(1, 7):
+        for g in range(1, 25):
+            sched = schedule(_serial_circuit(n, g), CompileParams(), config)
+            res, windows = sched.resources, sched.windows
+            prep = next(w for w in windows if w.label == "prep")
+            ramp = windows[0].t_end - windows[0].t_start
+            gate_times = tuple(w.t_end - w.t_start for w in windows
+                               if w.label.startswith("gate:"))
+            samples = 2 * sched.t.size * sched.x.size
+            assert res == ResourceEstimate(
+                n_qubits=n, gate_count=g, lam=1.0 / g,
+                t_prep=prep.t_end - prep.t_start, gate_times=gate_times,
+                total_gate_time=sum(gate_times),
+                extent=sched.x[-1] - sched.x[0],
+                samples=samples, bit_count=64 * samples,
+                config=dataclasses.asdict(config))
+            assert res.total_gate_time == pytest.approx(
+                sched.metadata["t_total"] - 2.0 * (ramp + res.t_prep),
+                rel=1e-12)
+            preps.add(res.t_prep)
+            extents[n] = res.extent
+    # eps fixes the prep window for G <= eps^-4, whatever n
+    assert len(preps) == 1
+    # one block pitch per qubit
+    pitch = sched.params["pitch"]
+    for n in range(2, 7):
+        assert extents[n] - extents[1] == pytest.approx((n - 1) * pitch,
+                                                        rel=1e-12)
 
 
 def test_compile_params_resolved():
@@ -102,18 +138,18 @@ def test_compile_params_resolved():
 
 
 def test_sampling_quadruples_when_mass_doubles():
-    n1 = compute_sampling(100.0, 50.0, 1.0, 1.0)
-    n2 = compute_sampling(100.0, 50.0, 2.0, 2.0)
+    n1 = compute_sampling(100.0, 50.0, 1.0, 1.0, 4.0)
+    n2 = compute_sampling(100.0, 50.0, 2.0, 2.0, 4.0)
     ratio = (n2[0] * n2[1]) / (n1[0] * n1[1])
     assert ratio == pytest.approx(4.0, rel=0.05)
     with pytest.raises(ValidationError):
-        compute_sampling(-1.0, 50.0, 1.0, 1.0)
+        compute_sampling(-1.0, 50.0, 1.0, 1.0, 4.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("slot", range(4))
 def test_sampling_rejects_non_finite_scales(slot, bad):
-    args = [100.0, 50.0, 1.0, 1.0]
+    args = [100.0, 50.0, 1.0, 1.0, 4.0]
     args[slot] = bad
     with pytest.raises(ValidationError):
         compute_sampling(*args)
@@ -133,6 +169,15 @@ def test_negative_x_angle_compiles_forward_in_time():
     assert window.calibration["target"] == -1.0
     replay = simulate_schedule(fields).logical_unitary
     np.testing.assert_allclose(replay, ideal_unitary(circuit), atol=1e-12)
+    # a zero angle makes a zero-length window, which owns no time row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, fields, window = gate_window(0.0)
+    assert window.t_end == window.t_start
+    lo, hi = np.searchsorted(fields.t, (window.t_start, window.t_end))
+    assert lo == hi
+    assert fields.resources.gate_times == (0.0,)
+    assert np.isfinite(fields.j1).all() and np.isfinite(fields.j2).all()
 
 
 def test_window_sequence(compiled):
