@@ -10,6 +10,17 @@ the rotating-wave approximation the Hamiltonian is
 on t in [-T/2, T/2].  The lab-frame drive is Omega cos(Theta(t)) with
 phase Theta(t) = omega0 t + (B/2T) t^2, whose derivative sweeps the
 instantaneous frequency through resonance at t = 0.
+
+The lab frame H = diag(0, omega0) + Omega cos(Theta(t)) sigma_x is
+integrated in the interaction picture of its static part diag(0, omega0):
+
+    H_I(t) = Omega cos(Theta(t)) [[0, e^{-i omega0 t}], [e^{+i omega0 t}, 0]].
+
+The counter-rotating term stays in full, so this is the exact lab-frame
+dynamics, while the steps no longer have to resolve the static rotation
+e^{-i omega0 t}.  |g> has zero energy under diag(0, omega0), so the back
+transform to the lab frame and on into the rotating frame is the single
+phase e^{i (Theta - omega0 t)} = e^{i B t^2 / 2T} on the excited amplitude.
 """
 
 import math
@@ -91,9 +102,10 @@ class PassageResult:
 
 
 def _two_level_stack(t, off_diagonal, excited):
-    """Stack of [[0, off_diagonal], [off_diagonal, excited]] over times t."""
+    """Stack of [[0, conj(off_diagonal)], [off_diagonal, excited]] over times t."""
     out = np.zeros((t.size, 2, 2), dtype=complex)
-    out[:, 0, 1] = out[:, 1, 0] = off_diagonal
+    out[:, 1, 0] = off_diagonal
+    out[:, 0, 1] = np.conj(off_diagonal)
     out[:, 1, 1] = excited
     return out
 
@@ -101,13 +113,15 @@ def _two_level_stack(t, off_diagonal, excited):
 def propagate_sweep(sweep: TwoLevelSweep, frame="rwa"):
     """Propagate |g> from -T/2 to +T/2 in the chosen frame.
 
-    frame="lab" integrates the full oscillating drive and re-expresses
-    the final state in the rotating frame (diag(1, e^{i Theta})), so the
-    two frames are directly comparable.  Fourth-order Magnus steps with
-    closed-form two-level exponentials double until the Richardson error
-    estimate max|psi_2n - psi_n| / 15 falls below SWEEP_TOL, which keeps
-    the norm within 1e-9 even for the very long sweeps the scaling ladder
-    produces.
+    frame="lab" integrates the full oscillating drive, counter-rotating
+    term included, in the interaction picture of omega0 (see the module
+    docstring), and re-expresses the final state in the rotating frame
+    with the single phase e^{i (Theta - omega0 t)} on the excited
+    amplitude, so the two frames are directly comparable.  Fourth-order
+    Magnus steps with closed-form two-level exponentials double until the
+    Richardson error estimate max|psi_2n - psi_n| / 15 falls below
+    SWEEP_TOL, which keeps the norm within 1e-9 even for the very long
+    sweeps the scaling ladder produces.
     """
     if frame not in ("rwa", "lab"):
         raise ValidationError(f"unknown frame {frame!r}")
@@ -119,10 +133,10 @@ def propagate_sweep(sweep: TwoLevelSweep, frame="rwa"):
     else:
         def h(t):
             drive = sweep.Omega * np.cos(sweep.drive_phase(t))
-            return _two_level_stack(t, drive, sweep.omega0)
+            return _two_level_stack(t, drive * np.exp(1j * sweep.omega0 * t), 0.0)
     psi, steps = evolve(h, [1.0, 0.0], t0, t1, SWEEP_TOL)
     if frame == "lab":
-        psi[1] *= np.exp(1j * sweep.drive_phase(t1))
+        psi[1] *= np.exp(1j * (sweep.drive_phase(t1) - sweep.omega0 * t1))
 
     norm = np.linalg.norm(psi)
     if abs(norm - 1.0) > 1e-9:

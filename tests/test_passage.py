@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fieldforge._ode import _propagator
+from fieldforge._ode import _propagator, evolve
 from fieldforge.errors import UnstableVacuum, ValidationError
-from fieldforge.passage import (CONDITION_NAMES, TwoLevelSweep,
+from fieldforge.passage import (CONDITION_NAMES, SWEEP_TOL, TwoLevelSweep,
                                 _two_level_stack, check_conditions,
                                 effective_hamiltonian, prep_time_estimate,
                                 propagate_sweep, rwa_error_bound,
@@ -127,18 +127,50 @@ def test_sweep_adiabatic_limit():
     assert res.frame == "rwa"
 
 
-def test_lab_frame_within_rwa_bound():
+def _random_lab_sweeps():
     rng = np.random.default_rng(11)
+    sweeps = []
     for _ in range(4):
         w0 = rng.uniform(50.0, 150.0)
         Omega = w0 * 1e-2 * rng.uniform(0.3, 1.0)
         B = Omega * rng.uniform(0.5, 2.0)
         T = rng.uniform(10.0, 30.0)
-        sweep = TwoLevelSweep(omega0=w0, Omega=Omega, B=B, T=T)
+        sweeps.append(TwoLevelSweep(omega0=w0, Omega=Omega, B=B, T=T))
+    return sweeps
+
+
+def test_lab_frame_within_rwa_bound():
+    for sweep in _random_lab_sweeps():
         lab = propagate_sweep(sweep, frame="lab")
         rwa = propagate_sweep(sweep, frame="rwa")
         diff = np.linalg.norm(lab.amplitudes - rwa.amplitudes)
-        assert diff <= rwa_error_bound(Omega, w0, B / 2.0, T)
+        assert diff <= rwa_error_bound(sweep.Omega, sweep.omega0,
+                                       sweep.B / 2.0, sweep.T)
+
+
+def _schrodinger_lab_sweep(sweep):
+    """The lab frame with the static splitting in H: [[0, drive], [drive,
+    omega0]] through the same Magnus integrator, then diag(1, e^{i Theta})."""
+    def h(t):
+        drive = sweep.Omega * np.cos(sweep.drive_phase(t))
+        return _two_level_stack(t, drive, sweep.omega0)
+
+    t1 = sweep.T / 2.0
+    psi, _ = evolve(h, [1.0, 0.0], -t1, t1, SWEEP_TOL)
+    psi[1] *= np.exp(1j * sweep.drive_phase(t1))
+    return psi
+
+
+def test_lab_frame_matches_schrodinger_picture():
+    # the interaction picture of omega0 changes the integrator's work, not
+    # the dynamics: counter-rotating term and back transform included.
+    # Each route stops once its own error estimate is below SWEEP_TOL, so
+    # the two may differ by up to twice that (1.0e-10 on the first sweep,
+    # whose routes sit 8.0e-11 and 3.7e-11 from DOP853 at rtol 1e-13).
+    for sweep in _random_lab_sweeps():
+        lab = propagate_sweep(sweep, frame="lab")
+        err = np.max(np.abs(lab.amplitudes - _schrodinger_lab_sweep(sweep)))
+        assert err <= 2.0 * SWEEP_TOL
 
 
 def _dop853_sweep(sweep, frame, rtol, atol):
@@ -198,15 +230,17 @@ def test_magnus_steps_converge_at_fourth_order():
 
 
 def test_lab_sweep_memory_is_blocked():
-    # numerics-size sweep: omega0 T = 2000 takes about 2^19 Magnus steps
+    # numerics-size sweep: omega0 T = 2000 takes 131008 Magnus steps over
+    # its doublings, the last of them 2^16
     sweep = TwoLevelSweep(100.0, 0.6, 0.8, 20.0)
     tracemalloc.start()
     try:
-        propagate_sweep(sweep, frame="lab")
+        res = propagate_sweep(sweep, frame="lab")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
+    assert res.steps == 131008
 
 
 def test_sweep_validation():
