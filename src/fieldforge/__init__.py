@@ -15,7 +15,6 @@ from .potentials import (
 from .schrodinger import (
     BoundStates,
     dressed_propagator,
-    greens_function,
     solve_bound_states,
     tunneling_and_interaction_estimates,
     wronskian,
@@ -25,7 +24,6 @@ from .passage import (
     ScaledParameters,
     TwoLevelSweep,
     check_conditions,
-    effective_hamiltonian,
     prep_time_estimate,
     propagate_sweep,
     rwa_error_bound,
@@ -37,7 +35,6 @@ from .chirp import (
     fresnel,
     g_component,
     region_bound,
-    source_energy,
 )
 from .adiabatic import (
     TimeDependentHamiltonian,

@@ -264,23 +264,3 @@ def region_bound(source: ChirpSource, omega):
     region = "in_band" if wminus > 0 else "tail"
     return SpectrumRegionBound(region, max(trans, other), float(omega), margin,
                                ambiguous=True)
-
-
-def source_energy(source: ChirpSource):
-    """Exact integral of f(t)^2 over the window, via the Fresnel closed form.
-
-    integral cos^2 = T/2 + (1/2) Re integral exp(2i(w0 t + kappa t^2/2));
-    completing the square turns the correction into Fresnel values.
-    """
-    w0, kap, T = source.omega0, source.kappa, source.T
-    amp = 2.0 / np.sqrt(T) if source.amplitude is None else source.amplitude
-    if kap == 0.0:
-        corr = np.sin(w0 * T) / (2.0 * w0) if w0 else T / 2.0
-        return amp ** 2 * (T / 2.0 + corr)
-    a = w0 / kap
-    root = np.sqrt(2.0 * kap / np.pi)
-    cp, sp = fresnel(root * (T / 2.0 + a))
-    cm, sm = fresnel(root * (-T / 2.0 + a))
-    integral = np.sqrt(np.pi / (2.0 * kap)) * ((cp - cm) + 1j * (sp - sm))
-    corr = 0.5 * np.real(np.exp(-1j * w0 ** 2 / kap) * integral)
-    return amp ** 2 * (T / 2.0 + corr)

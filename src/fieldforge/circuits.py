@@ -84,17 +84,18 @@ class LogicalCircuit:
                    for g in self.gates if len(g.qubits) == 2)
 
 
-def _embed(u_small, qubits, n):
-    """Lift a 1- or 2-qubit matrix to the full 2^n space (qubit 0 = MSB)."""
-    perm = list(qubits) + [q for q in range(n) if q not in qubits]
-    u_perm = np.kron(u_small, np.eye(2 ** (n - len(qubits))))
-    idx = np.arange(2 ** n)
-    # position of each natural index in the permuted bit ordering
-    j = np.zeros_like(idx)
-    for pos, q in enumerate(perm):
-        bit = (idx >> (n - 1 - q)) & 1
-        j |= bit << (n - 1 - pos)
-    return u_perm[np.ix_(j, j)]
+def _apply(circuit: LogicalCircuit, psi):
+    """Apply the circuit's gates in turn to psi of shape (2,) * n + batch.
+
+    Axis q holds qubit q (qubit 0 = MSB of a flat index); trailing batch
+    axes are carried along untouched.
+    """
+    for gate in circuit.gates:
+        k = len(gate.qubits)
+        u = gate.matrix().reshape((2,) * (2 * k))
+        psi = np.tensordot(u, psi, axes=(range(k, 2 * k), gate.qubits))
+        psi = np.moveaxis(psi, range(k), gate.qubits)
+    return psi
 
 
 def ideal_unitary(circuit: LogicalCircuit):
@@ -102,27 +103,20 @@ def ideal_unitary(circuit: LogicalCircuit):
     n = circuit.n_qubits
     if n > MAX_DENSE_QUBITS:
         raise TooManyQubits(f"{n} qubits exceeds the dense limit of {MAX_DENSE_QUBITS}")
-    u = np.eye(2 ** n, dtype=complex)
-    for gate in circuit.gates:
-        u = _embed(gate.matrix(), gate.qubits, n) @ u
-    return u
+    dim = 2 ** n
+    u = _apply(circuit, np.eye(dim, dtype=complex).reshape((2,) * n + (dim,)))
+    return u.reshape(dim, dim)
 
 
 def vacuum_amplitude(circuit: LogicalCircuit):
     """<0...0|U|0...0> of the circuit, the (0, 0) entry of ideal_unitary.
 
-    The gates act in turn on the all-zero state, held as a (2,) * n array
-    with axis q for qubit q, so no 2^n x 2^n matrix is built.
+    Only the all-zero state is evolved, so no 2^n x 2^n matrix is built.
     """
     n = circuit.n_qubits
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
-    for gate in circuit.gates:
-        k = len(gate.qubits)
-        u = gate.matrix().reshape((2,) * (2 * k))
-        psi = np.tensordot(u, psi, axes=(range(k, 2 * k), gate.qubits))
-        psi = np.moveaxis(psi, range(k), gate.qubits)
-    return complex(psi[(0,) * n])
+    return complex(_apply(circuit, psi)[(0,) * n])
 
 
 def insert_swaps(circuit: LogicalCircuit):

@@ -206,8 +206,8 @@ def _cmd_spectrum(args):
     omega = np.linspace(-args.span * b / 2.0, args.span * b / 2.0, args.points)
     g = g_component(source, omega, branch=+1)
     power = (b / (2.0 * np.pi)) * np.abs(g) ** 2
-    bounds = np.array([region_bound(source, w).bound for w in omega])
-    regions = [region_bound(source, w).region for w in omega]
+    region_bounds = [region_bound(source, w) for w in omega]
+    bounds = np.array([r.bound for r in region_bounds])
     if args.format == "csv":
         _emit_csv([("omega", omega), ("re_gplus", g.real),
                    ("im_gplus", g.imag), ("power", power),
@@ -218,7 +218,7 @@ def _cmd_spectrum(args):
                "omega": list(omega),
                "re_gplus": list(g.real), "im_gplus": list(g.imag),
                "power": list(power), "bound": list(bounds),
-               "region": regions})
+               "region": [r.region for r in region_bounds]})
     return 0
 
 

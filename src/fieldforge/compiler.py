@@ -416,9 +416,9 @@ def _plan(circuit, params, config):
     gap, tunneling = _inter_qubit_gap(m, depth, lam)
     pitch = intra + gap
     margin = 8.0 * width
-    centers = np.array([q * pitch for q in range(n)])
-    x0 = centers[0] - intra / 2.0 - margin
-    x1 = centers[-1] + intra / 2.0 + margin
+    # scalar extent: nothing of size n is built before the sample-cap check
+    x0 = -intra / 2.0 - margin
+    x1 = (n - 1) * pitch + intra / 2.0 + margin
     extent = x1 - x0
 
     # prep chirp per qubit, parameters from the passage scaling ladder
@@ -476,6 +476,7 @@ def _plan(circuit, params, config):
     x = np.linspace(x0, x1, nx)
 
     # static layout: one double well per qubit, wells[q] = (left, right)
+    centers = np.array([q * pitch for q in range(n)])
     wells = np.stack([centers - intra / 2.0, centers + intra / 2.0], axis=1)
 
     # J2 is switched on over the first window and off over the last; the

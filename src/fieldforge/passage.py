@@ -54,33 +54,6 @@ class TwoLevelSweep:
         return self.omega0 * t + 0.5 * (self.B / self.T) * t ** 2
 
 
-@dataclass
-class DressedStates:
-    hamiltonian: np.ndarray
-    theta: float               # mixing angle in [0, pi/2]
-    eigenvalues: tuple         # (E_minus, E_plus)
-    minus: np.ndarray          # adiabatically |g> -> -|e|
-    plus: np.ndarray
-
-
-def effective_hamiltonian(Omega, Delta):
-    """Rotating-frame two-level Hamiltonian with dressed-state data.
-
-    tan(2 theta) = -Omega/Delta with 2 theta in [0, pi], so theta runs
-    from 0 (far below resonance) to pi/2 (far above) and |-> interpolates
-    |g> -> -|e> across the sweep.
-    """
-    if Omega < 0:
-        raise ValidationError("Omega must be nonnegative")
-    h = np.array([[0.0, Omega / 2.0], [Omega / 2.0, -Delta]])
-    theta = 0.5 * np.arctan2(Omega, -Delta)
-    root = 0.5 * np.hypot(Omega, Delta)
-    e_minus, e_plus = -Delta / 2.0 - root, -Delta / 2.0 + root
-    minus = np.array([np.cos(theta), -np.sin(theta)])
-    plus = np.array([np.sin(theta), np.cos(theta)])
-    return DressedStates(h, theta, (e_minus, e_plus), minus, plus)
-
-
 def rwa_error_bound(Omega, omega, Delta, T):
     """Counter-rotating-term error bound Omega/2w + (Omega T/4w)(Delta+Omega).
 

@@ -1,4 +1,4 @@
-"""Bound states, tunneling estimates, and Wronskian Green's functions in 1d.
+"""Bound states, tunneling estimates, and Wronskians in 1d.
 
 Everything here works on the stationary problem H u = -c u'' + V u with
 c the kinetic coefficient of the potential's units convention.
@@ -140,8 +140,6 @@ class WronskianResult:
     value: float
     samples: np.ndarray     # W evaluated at interior check points
     x_checks: np.ndarray
-    u_left: object          # callables x -> (u, u')
-    u_right: object
 
 
 class _PiecewiseSolution:
@@ -217,7 +215,7 @@ def wronskian(potential, z):
     spread = np.max(np.abs(ws - w)) / max(abs(w), 1e-300)
     if spread > 1e-8:
         raise IntegrationFailure(f"Wronskian drifts by {spread:.2e} across the box")
-    return WronskianResult(w, ws, xs, sol_l, sol_r)
+    return WronskianResult(w, ws, xs)
 
 
 @dataclass
@@ -261,13 +259,3 @@ def dressed_propagator(m, v_height, length):
         wronskian_closed=w_closed,
         m_eff=m_eff,
     )
-
-
-def greens_function(potential, z, x1, x2):
-    """G(x1, x2; z) = u_L(x<) u_R(x>) / (c W); independent of normalization."""
-    res = wronskian(potential, z)
-    c = potential.units.kinetic_coefficient
-    lo, hi = min(x1, x2), max(x1, x2)
-    ul = res.u_left(lo)[0]
-    ur = res.u_right(hi)[0]
-    return ul * ur / (c * res.value)

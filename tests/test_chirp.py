@@ -6,7 +6,7 @@ import scipy.special
 from scipy.integrate import quad
 
 from fieldforge.chirp import (ChirpSource, chirp_spectrum, fresnel,
-                              g_component, region_bound, source_energy)
+                              g_component, region_bound)
 from fieldforge.errors import ValidationError, ZeroChirp
 
 
@@ -156,15 +156,3 @@ def test_spectrum_against_fft_oracle():
     closed = chirp_spectrum(src, omega[sel])
     rel = np.abs(closed - spec[sel]) / np.abs(spec[sel])
     assert rel.max() < 1e-3
-
-
-def test_source_energy_closed_form():
-    src = ChirpSource(omega0=30.0, kappa=0.25, T=20.0, amplitude=1.3)
-    direct = quad(lambda t: src(t) ** 2, -10.0, 10.0, limit=500)[0]
-    assert source_energy(src) == pytest.approx(direct, rel=1e-9)
-
-
-def test_source_energy_unchirped():
-    src = ChirpSource(omega0=2.0, kappa=0.0, T=7.0)
-    direct = quad(lambda t: src(t) ** 2, -3.5, 3.5, limit=200)[0]
-    assert source_energy(src) == pytest.approx(direct, rel=1e-12)

@@ -175,8 +175,28 @@ def test_swap_matches_permutation():
     np.testing.assert_allclose(u, np.eye(8)[:, swapped].T, atol=0.0)
 
 
+def _full_space_matrix(gate, n):
+    """U[i, j] = u_small[bits_i(q), bits_j(q)] where i and j agree off q."""
+    u_small = gate.matrix()
+    mask = sum(1 << (n - 1 - q) for q in gate.qubits)
+
+    def sub(i):
+        # the gate's qubits of i, first listed qubit most significant
+        return sum(((i >> (n - 1 - q)) & 1) << (len(gate.qubits) - 1 - k)
+                   for k, q in enumerate(gate.qubits))
+
+    u = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    for i in range(2 ** n):
+        for j in range(2 ** n):
+            if i & ~mask == j & ~mask:
+                u[i, j] = u_small[sub(i), sub(j)]
+    return u
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_vacuum_amplitude_matches_ideal_unitary(n):
+    # both run one gate-application step, so each is checked against the
+    # product of full-space matrices built entry by entry from qubit bits;
     # swaps, distant entanglers in both orders and rotations on every qubit
     rng = np.random.default_rng(n)
     kinds = ["xrot", "zrot"] + ["entangling", "swap"] * (n > 1)
@@ -195,7 +215,11 @@ def test_vacuum_amplitude_matches_ideal_unitary(n):
                 a = int(rng.integers(n - 1))
                 gates.append(GateSpec(kind, (a, a + 1)))
         circ = LogicalCircuit(n, tuple(gates))
-        assert abs(vacuum_amplitude(circ) - ideal_unitary(circ)[0, 0]) <= 1e-15
+        oracle = np.eye(2 ** n, dtype=complex)
+        for gate in gates:
+            oracle = _full_space_matrix(gate, n) @ oracle
+        assert np.max(np.abs(ideal_unitary(circ) - oracle)) <= 1e-15
+        assert abs(vacuum_amplitude(circ) - oracle[0, 0]) <= 1e-15
     assert vacuum_amplitude(LogicalCircuit(n, ())) == 1.0
 
 

@@ -255,17 +255,48 @@ def test_sample_cap_exits_three(capsys, tmp_path, circuit_file, command):
     assert not (tmp_path / "out").exists()
 
 
-def _fresh_process(argv):
-    """The CLI started on argv in a new interpreter, stdout piped."""
+def _src_env():
+    """os.environ with this fieldforge's source tree first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(fieldforge.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _fresh_process(argv):
+    """The CLI started on argv in a new interpreter, stdout piped."""
     return subprocess.Popen(
         [sys.executable, "-c",
          "import sys; from fieldforge.cli import main; "
          "sys.exit(main(sys.argv[1:]))", *argv],
-        env=env, stdout=subprocess.PIPE, text=True)
+        env=_src_env(), stdout=subprocess.PIPE, text=True)
+
+
+def test_huge_register_exits_three(tmp_path):
+    # 1e9 qubits must meet the sample cap before anything of size n is
+    # built.  The commands run in a child whose address space is capped at
+    # 3 GB, so a regression ends in a MemoryError, not in tens of GB.
+    (tmp_path / "huge.json").write_text(
+        json.dumps({"n_qubits": 1_000_000_000, "gates": []}))
+    script = (
+        "import json, resource\n"
+        "_, hard = resource.getrlimit(resource.RLIMIT_AS)\n"
+        "soft = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+        "from fieldforge.cli import main\n"
+        "codes = [main([cmd, '--circuit', 'huge.json', '--out', 'out'])\n"
+        "         for cmd in ('estimate-resources', 'verify', 'compile')]\n"
+        "print(json.dumps(codes))\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                          env=_src_env(), capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [3, 3, 3]
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 3
+    assert all(line.startswith("error: schedule needs") for line in lines)
+    assert not (tmp_path / "out").exists()
 
 
 def test_repeated_main_matches_fresh_processes(capsys, circuit_file,

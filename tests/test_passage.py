@@ -10,9 +10,8 @@ from fieldforge._ode import _propagator, evolve
 from fieldforge.errors import UnstableVacuum, ValidationError
 from fieldforge.passage import (CONDITION_NAMES, SWEEP_TOL, TwoLevelSweep,
                                 _two_level_stack, check_conditions,
-                                effective_hamiltonian, prep_time_estimate,
-                                propagate_sweep, rwa_error_bound,
-                                scale_parameters)
+                                prep_time_estimate, propagate_sweep,
+                                rwa_error_bound, scale_parameters)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -77,26 +76,6 @@ def test_conditions_boundary_inclusive():
     check = {c.name: c for c in report.checks}["source_weak_vs_band"]
     assert check.ratio == pytest.approx(0.1, rel=1e-15)
     assert check.passed
-
-
-def test_dressed_states_on_resonance():
-    ds = effective_hamiltonian(1.0, 0.0)
-    assert ds.theta == pytest.approx(np.pi / 4.0)
-    np.testing.assert_allclose(ds.hamiltonian @ ds.minus,
-                               ds.eigenvalues[0] * ds.minus, atol=1e-14)
-    np.testing.assert_allclose(ds.hamiltonian @ ds.plus,
-                               ds.eigenvalues[1] * ds.plus, atol=1e-14)
-    assert abs(np.dot(ds.minus, ds.plus)) < 1e-14
-
-
-def test_dressed_states_asymptotes():
-    far_below = effective_hamiltonian(0.01, -100.0)
-    far_above = effective_hamiltonian(0.01, 100.0)
-    # |-> interpolates from |g> to -|e> across the sweep
-    assert abs(far_below.minus[0]) > 0.999999
-    assert abs(far_above.minus[1]) > 0.999999
-    assert far_below.theta < 1e-4
-    assert far_above.theta > np.pi / 2.0 - 1e-4
 
 
 def test_rwa_error_bound_formula():

@@ -8,8 +8,7 @@ from fieldforge.errors import (BoxTooSmall, ClassicallyAllowed, NoBoundStates,
 from fieldforge.potentials import (Grid, PoschlTeller, QESDoubleWell,
                                    SquareBarrier, Tabulated)
 from fieldforge.schrodinger import (barrier_wronskian_closed_form,
-                                    dressed_propagator, greens_function,
-                                    solve_bound_states,
+                                    dressed_propagator, solve_bound_states,
                                     tunneling_and_interaction_estimates,
                                     wronskian)
 
@@ -154,34 +153,3 @@ def test_tunneling_estimates():
     assert est.interaction_strength == pytest.approx(0.1 * np.exp(-6.0 * kappa))
     with pytest.raises(ClassicallyAllowed):
         tunneling_and_interaction_estimates(1.0, 1.0, 2.0, 1.0, 0.1)
-
-
-def test_greens_function_free_resolvent():
-    # resolvent of -c d2/dx2 at z < 0: G = exp(-kappa|x-x'|)/(2 c kappa)
-    free = SquareBarrier(0.0, 1.0, mass=1.0)
-    for x1, x2 in [(-0.3, 0.2), (0.1, 0.4), (-0.45, -0.1)]:
-        got = greens_function(free, -0.5, x1, x2)
-        assert got == pytest.approx(np.exp(-abs(x1 - x2)), rel=1e-8)
-    a = greens_function(free, -0.5, -0.2, 0.3)
-    b = greens_function(free, -0.5, 0.3, -0.2)
-    assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_greens_function_spectral_sum():
-    # independent route: G(x1,x2;z) = sum_n psi_n(x1) psi_n(x2)/(E_n - z)
-    # over the full hard-wall finite-difference spectrum
-    from scipy.linalg import eigh_tridiagonal
-
-    pt = PoschlTeller(1.0, 2.0)
-    x = np.linspace(-15.0, 15.0, 2001)
-    dx = x[1] - x[0]
-    c = pt.units.kinetic_coefficient
-    diag = 2.0 * c / dx ** 2 + pt(x[1:-1])
-    off = -c / dx ** 2 * np.ones(x.size - 3)
-    w, vecs = eigh_tridiagonal(diag, off)
-    vecs = vecs / np.sqrt(dx)          # sum psi^2 dx = 1
-    z = -1.3
-    i1, i2 = 900, 1150                 # interior sample points
-    spectral = float(np.sum(vecs[i1 - 1] * vecs[i2 - 1] / (w - z)))
-    direct = greens_function(pt, z, x[i1], x[i2])
-    assert direct == pytest.approx(spectral, rel=1e-3)
