@@ -184,7 +184,6 @@ class SpectrumRegionBound:
     omega: float
     margin: float             # sqrt(pi/BT)
     ambiguous: bool = False
-    notes: tuple = ()
 
 
 def _in_band_or_tail_bound(bt, what):
@@ -245,7 +244,6 @@ def region_bound(source: ChirpSource, omega):
     w = abs(float(omega)) / b
     margin = np.sqrt(np.pi / bt)
     wminus = 0.5 - w
-    notes = ()
 
     if wminus >= 3.0 * margin:
         return SpectrumRegionBound("in_band", _in_band_or_tail_bound(bt, w),
@@ -254,10 +252,8 @@ def region_bound(source: ChirpSource, omega):
         return SpectrumRegionBound("tail", _in_band_or_tail_bound(bt, w),
                                    float(omega), margin)
     if abs(wminus) <= margin / 3.0:
-        notes = ("half-power coefficients mix sqrt(BT/pi) and sqrt(BT/2) "
-                 "scalings as printed; bound maximizes over both",)
         return SpectrumRegionBound("transition", _transition_bound(bt, w),
-                                   float(omega), margin, notes=notes)
+                                   float(omega), margin)
     # between margins
     trans = _transition_bound(bt, w)
     other = _in_band_or_tail_bound(bt, w)

@@ -111,9 +111,13 @@ def ideal_unitary(circuit: LogicalCircuit):
 def vacuum_amplitude(circuit: LogicalCircuit):
     """<0...0|U|0...0> of the circuit, the (0, 0) entry of ideal_unitary.
 
-    Only the all-zero state is evolved, so no 2^n x 2^n matrix is built.
+    Only the all-zero state is evolved, so no 2^n x 2^n matrix is built;
+    its 2^n entries stop at n = 24, the size of the 12-qubit unitary.
     """
     n = circuit.n_qubits
+    if n > 2 * MAX_DENSE_QUBITS:
+        raise TooManyQubits(
+            f"{n} qubits exceeds the state-vector limit of {2 * MAX_DENSE_QUBITS}")
     psi = np.zeros((2,) * n, dtype=complex)
     psi[(0,) * n] = 1.0
     return complex(_apply(circuit, psi)[(0,) * n])

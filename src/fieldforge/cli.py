@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .chirp import ChirpSource, g_component, region_bound
-from .circuits import GateSpec, LogicalCircuit, ideal_unitary, vacuum_amplitude
+from .circuits import GateSpec, LogicalCircuit, vacuum_amplitude
 from .compiler import (
     CompileParams,
     ScalingConfig,
@@ -283,11 +283,8 @@ def _cmd_verify(args):
 def _cmd_hadamard(args):
     params, _ = _load_config(args.config)
     circuit = load_circuit(args.circuit, params)
-    u = ideal_unitary(circuit)
-    psi = np.zeros(u.shape[0], dtype=complex)
-    psi[0] = 1.0
-    result = hadamard_test(u, psi, part=args.part, shots=args.shots,
-                           seed=args.seed)
+    result = hadamard_test(vacuum_amplitude(circuit), part=args.part,
+                           shots=args.shots, seed=args.seed)
     p_hat = (result.estimate + 1.0) / 2.0
     verdict = decision(min(max(p_hat, 0.0), 1.0))
     _emit({
@@ -315,6 +312,13 @@ def _angle(text):
         raise argparse.ArgumentTypeError(f"bad angle {text!r}") from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    # usage errors exit 3 through main, like any bad input: argparse's own
+    # exit code 2 is promise_violated's; subparsers share this class
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
@@ -323,7 +327,7 @@ def build_parser():
     common.add_argument("--out", help="output directory")
     common.add_argument("--format", choices=("json", "csv"), default="json")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fieldforge",
         description="Source-field compiler and calibration toolkit")
     parser.add_argument("--version", action="version", version=__version__)
@@ -388,7 +392,7 @@ def build_parser():
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("hadamard", parents=[common],
-                       help="sampled Hadamard test on the ideal unitary")
+                       help="sampled Hadamard test on <0|U|0> of the circuit")
     p.add_argument("--circuit", required=True)
     p.add_argument("--part", choices=("re", "im"), default="re")
     p.add_argument("--shots", type=int, default=10_000)
@@ -403,17 +407,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if not 0 <= args.seed < 2 ** 64:
-        print("error: seed must fit in u64", file=sys.stderr)
-        return 3
     try:
+        args = build_parser().parse_args(argv)
+        if not 0 <= args.seed < 2 ** 64:
+            raise ValidationError("seed must fit in u64")
         return args.func(args)
-    except FieldForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except (FieldForgeError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .adiabatic import gevrey_bump
 from .chirp import ChirpSource
-from .circuits import GateSpec, LogicalCircuit, ideal_unitary, insert_swaps
+from .circuits import GateSpec, LogicalCircuit, insert_swaps, vacuum_amplitude
 from .errors import BudgetExceeded, InfeasibleGate, ValidationError, _count
 from .gates import (
     BUMP_PEAK,
@@ -56,7 +56,6 @@ from .gates import (
     coefficients_from_wells,
 )
 from .passage import scale_parameters
-from .schrodinger import tunneling_and_interaction_estimates
 
 INTER_QUBIT_TUNNELING = 1e-10
 FORMAT_VERSION = 2
@@ -339,7 +338,7 @@ def _config_hash(params: dict, config: ScalingConfig):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _inter_qubit_gap(m, depth, lam):
+def _inter_qubit_gap(m, depth):
     """Spacing between qubit blocks keeping the tunneling estimate tiny.
 
     gap = 1.02 ln(1/INTER_QUBIT_TUNNELING)/kappa, so the estimate
@@ -351,8 +350,7 @@ def _inter_qubit_gap(m, depth, lam):
     energy = -0.5 * depth
     kappa = math.sqrt(2.0 * m * (barrier - energy))
     gap = 1.02 * math.log(1.0 / INTER_QUBIT_TUNNELING) / kappa
-    est = tunneling_and_interaction_estimates(barrier, gap, energy, m, lam)
-    return gap, est.wkb_factor
+    return gap, np.exp(-gap * kappa)
 
 
 @functools.lru_cache(maxsize=8)
@@ -413,7 +411,7 @@ def _plan(circuit, params, config):
     lam = config.lambda_prefactor / max(g_count, 1)
 
     m, depth, width, intra, tau_z = params.resolved()
-    gap, tunneling = _inter_qubit_gap(m, depth, lam)
+    gap, tunneling = _inter_qubit_gap(m, depth)
     pitch = intra + gap
     margin = 8.0 * width
     # scalar extent: nothing of size n is built before the sample-cap check
@@ -606,7 +604,7 @@ def compile(circuit: LogicalCircuit, params: CompileParams = None,
 
 @dataclass(frozen=True)
 class SimulationReport:
-    logical_unitary: np.ndarray
+    circuit: LogicalCircuit   # the replayed gates
     total_infidelity: float
     vacuum_return_probability: float
     metadata: dict
@@ -615,11 +613,11 @@ class SimulationReport:
 def simulate_schedule(sched: Schedule, model_level="gate_models"):
     """Replay a schedule (or CompiledFields) at the gate-model level.
 
-    Rebuilds each gate window's logical gate from its calibration record,
-    composes them through ideal_unitary, and combines |<0...0|U|0...0>|^2
-    with the per-well prep and annihilation fidelity bounds.  The vacuum-return probability is a
-    gate-model proxy, not a field-theoretic computation; the metadata says
-    so explicitly.
+    Rebuilds each gate window's logical gate from its calibration record
+    into the report's circuit, and combines its |<0...0|U|0...0>|^2 with
+    the per-well prep and annihilation fidelity bounds.  The vacuum-return
+    probability is a gate-model proxy, not a field-theoretic computation;
+    the metadata says so explicitly.
     """
     if model_level != "gate_models":
         raise ValidationError("only the gate_models level is implemented")
@@ -655,12 +653,12 @@ def simulate_schedule(sched: Schedule, model_level="gate_models"):
         contribution = multiplier * (cal["infidelity"] + lam)
         eps_gate_max = max(eps_gate_max, contribution)
         total_infidelity += contribution
-    u = ideal_unitary(LogicalCircuit(n, replayed))
-    amp = u[0, 0]
+    circuit = LogicalCircuit(n, replayed)
+    amp = vacuum_amplitude(circuit)
     prep_fidelity = max(1.0 - eps_prep, 0.0)
     vacuum_return = float(abs(amp) ** 2 * prep_fidelity ** (2 * n))
     return SimulationReport(
-        logical_unitary=u,
+        circuit=circuit,
         total_infidelity=float(total_infidelity),
         vacuum_return_probability=vacuum_return,
         metadata={

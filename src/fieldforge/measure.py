@@ -3,16 +3,18 @@
 The control register is prepared in (|0> + |1>)/sqrt(2) for the real part
 or (|0> - i|1>)/sqrt(2) for the imaginary part; after the controlled-U and
 a final Hadamard, p0 = (1 + Re<psi|U|psi>)/2 or (1 + Im<psi|U|psi>)/2.
-Shots are drawn from the exact p0 with a counter-based Philox generator, so
-results are reproducible given (seed, N) and parallel batches can use
-distinct sub-seeds.
+The sampler takes that overlap, not U and psi.  Shots are drawn from the
+exact p0 with a counter-based Philox generator, so results are
+reproducible given (seed, N) and parallel batches can use distinct
+sub-seeds.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationError, _count
+from .errors import ValidationError, _count
 
 
 @dataclass(frozen=True)
@@ -25,25 +27,20 @@ class ShotResult:
     seed: int
 
 
-def hadamard_test(u, psi, part="re", shots=10_000, seed=0):
-    """Sampled estimate of Re or Im <psi|U|psi> from N Bernoulli shots."""
-    u = np.asarray(u, dtype=complex)
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise DimensionMismatch(f"U has shape {u.shape}")
-    if psi.size != u.shape[0]:
-        raise DimensionMismatch(
-            f"state dimension {psi.size} does not match U {u.shape}")
+def hadamard_test(overlap, part="re", shots=10_000, seed=0):
+    """Sampled estimate of Re or Im of overlap = <psi|U|psi> from N shots."""
+    if not isinstance(overlap, numbers.Number):
+        raise ValidationError(f"overlap must be a complex scalar, got {overlap!r}")
+    overlap = complex(overlap)
+    # NaN fails the comparison too
+    if not abs(overlap) <= 1.0 + 1e-9:
+        raise ValidationError(f"overlap {overlap} needs a finite modulus <= 1")
     if part not in ("re", "im"):
         raise ValidationError("part must be 're' or 'im'")
     shots = _count(shots, "shots")
     if shots < 1:
         raise ValidationError("need at least one shot")
-    norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValidationError("psi must be normalized")
 
-    overlap = np.vdot(psi, u @ psi)
     value = overlap.real if part == "re" else overlap.imag
     # clip away roundoff outside [0, 1]
     p0 = min(max((1.0 + value) / 2.0, 0.0), 1.0)

@@ -10,7 +10,7 @@ import pathlib
 
 import fieldforge
 
-SETTABLE_VALUES = 77
+SETTABLE_VALUES = 76
 
 
 def _settable(tree):

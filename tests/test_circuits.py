@@ -254,6 +254,12 @@ def test_too_many_qubits():
     circ = LogicalCircuit(MAX_DENSE_QUBITS + 1, ())
     with pytest.raises(TooManyQubits):
         ideal_unitary(circ)
+    assert vacuum_amplitude(circ) == 1.0
+    # past 24 qubits the state vector would outgrow the 12-qubit unitary;
+    # at 65 numpy could not even index it
+    for n in (2 * MAX_DENSE_QUBITS + 1, 65):
+        with pytest.raises(TooManyQubits):
+            vacuum_amplitude(LogicalCircuit(n, ()))
 
 
 def test_identity_circuit():

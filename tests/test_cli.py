@@ -348,6 +348,34 @@ def test_hadamard_promise_violated_exit_code(capsys, tmp_path):
     assert data["p0_exact"] == pytest.approx(0.5)
 
 
+def test_past_the_dense_limit(capsys, tmp_path, config_file):
+    # 13 qubits is one more than the dense unitary allows.  xrot(0.8) on the
+    # last qubit has <0|U|0> = (1 + e^{-0.8i})/2, whose real part and
+    # squared modulus are both cos^2(0.4).
+    path = tmp_path / "c13.json"
+    path.write_text(json.dumps({
+        "n_qubits": 13,
+        "gates": [{"kind": "xrot", "qubits": [12], "angle": 0.8}]}))
+    oracle = math.cos(0.4) ** 2
+    code, out, _ = run(capsys, ["verify", "--circuit", str(path),
+                                "--config", config_file])
+    assert code == 0
+    assert json.loads(out)["ideal_vacuum_probability"] == pytest.approx(
+        oracle, rel=1e-12)
+    code, out, _ = run(capsys, ["hadamard", "--circuit", str(path),
+                                "--shots", "20000", "--seed", "7"])
+    assert code == 0
+    data = json.loads(out)
+    assert data["p0_exact"] == pytest.approx((1 + oracle) / 2, rel=1e-12)
+    assert abs(data["estimate"] - oracle) <= 3.0 * data["standard_error"]
+    # the state vector stops at 24 qubits, before anything is allocated
+    path.write_text(json.dumps({"n_qubits": 25, "gates": []}))
+    code, out, err = run(capsys, ["hadamard", "--circuit", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: 25 qubits")
+
+
 def test_estimate_resources(capsys, circuit_file, config_file):
     code, out, _ = run(capsys, ["estimate-resources", "--circuit",
                                 circuit_file, "--config", config_file])
@@ -430,6 +458,19 @@ def test_nonpositive_counts_exit_three(capsys, argv):
     assert code == 3
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigensolve", "--potential", "qes", "--points", "1e3"],
+    ["verify"],
+    ["bogus"],
+], ids=["bad-int", "missing-circuit", "unknown-subcommand"])
+def test_usage_errors_exit_three(capsys, argv):
+    # argparse would exit 2, the code of promise_violated
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: fieldforge")
 
 
 @pytest.mark.parametrize("argv", [

@@ -167,7 +167,7 @@ def test_negative_x_angle_compiles_forward_in_time():
     assert window.t_end - window.t_start == pytest.approx(
         wrapped.t_end - wrapped.t_start, rel=1e-12)
     assert window.calibration["target"] == -1.0
-    replay = simulate_schedule(fields).logical_unitary
+    replay = ideal_unitary(simulate_schedule(fields).circuit)
     np.testing.assert_allclose(replay, ideal_unitary(circuit), atol=1e-12)
     # a zero angle makes a zero-length window, which owns no time row
     with warnings.catch_warnings():
@@ -241,7 +241,7 @@ def test_non_native_phases_rejected():
 def test_replay_matches_ideal_unitary(compiled, mixed_circuit):
     report = simulate_schedule(compiled)
     ideal = ideal_unitary(insert_swaps(mixed_circuit))
-    assert np.max(np.abs(report.logical_unitary - ideal)) < 1e-9
+    assert np.max(np.abs(ideal_unitary(report.circuit) - ideal)) < 1e-9
     assert report.metadata["model_level"] == "gate_models"
     assert "proxy" in report.metadata["vacuum_return_note"]
     with pytest.raises(ValidationError):
@@ -261,7 +261,7 @@ def test_infidelity_accounting(compiled):
 
 def test_vacuum_return_formula(compiled):
     report = simulate_schedule(compiled)
-    amp2 = abs(report.logical_unitary[0, 0]) ** 2
+    amp2 = abs(ideal_unitary(report.circuit)[0, 0]) ** 2
     assert report.vacuum_return_probability == pytest.approx(
         amp2 * (1.0 - 0.5) ** 6, rel=1e-12)
 
@@ -271,7 +271,8 @@ def test_empty_circuit_compile():
     labels = [w.label for w in fields.windows]
     assert labels == ["j2_rampup", "prep", "reverse_prep", "j2_rampdown"]
     report = simulate_schedule(fields)
-    np.testing.assert_allclose(report.logical_unitary, np.eye(2), atol=0.0)
+    np.testing.assert_allclose(ideal_unitary(report.circuit), np.eye(2),
+                               atol=0.0)
     assert report.total_infidelity == pytest.approx(2 * 1 * 0.5)
     assert report.vacuum_return_probability == pytest.approx(0.25)
 
@@ -494,7 +495,7 @@ def test_schedule_matches_compile(mixed_circuit, compiled):
     assert sched.t.tobytes() == compiled.t.tobytes()
     assert sched.x.tobytes() == compiled.x.tobytes()
     replay, again = simulate_schedule(sched), simulate_schedule(compiled)
-    assert replay.logical_unitary.tobytes() == again.logical_unitary.tobytes()
+    assert replay.circuit == again.circuit
     assert replay.total_infidelity == again.total_infidelity
     assert (replay.vacuum_return_probability
             == again.vacuum_return_probability)
