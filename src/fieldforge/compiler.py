@@ -7,18 +7,20 @@ well-trajectory window per gate, the time-reversed preparation, and the
 turn-off.  It fixes the sample grids, checks them against the sample cap
 and returns a Schedule: the window records, the resources read off them,
 the resolved parameters and the metadata, with no field sampled.  The
-render step (inside compile) builds both fields from their separable
-factors.  J1 is the outer product
-(pulse(t) - pulse(T_total - t)) x S(x), with S the sum of the qubits'
-left-well Gaussians.  Float subtraction is antisymmetric, so on the
-(symmetric) time grid J1(T_total - t) = -J1(t) holds by value, and bit for
-bit on every row where the pulse difference is nonzero.  Where it is zero
+render step (_render, inside compile) reads the Schedule and nothing
+else, so a field file's header is enough to rebuild its fields bit for
+bit.  It builds both fields from their separable factors.  J1 is the
+outer product (pulse(t) - pulse(T_total - t)) x S(x), with S the sum of
+the qubits' left-well Gaussians.  Float subtraction is antisymmetric,
+so on the (symmetric) time grid J1(T_total - t) = -J1(t) holds by value,
+and bit for bit on every row where the pulse difference is nonzero.  Where it is zero
 (outside the prep windows) both mirror rows hold +0.0, not the -0.0 of a
 negation.  J2 is envelope(t) x layout(x), and each gate window adds its
 local deformation in place on its own rows.  CompiledFields is the
 Schedule with the two dense grids, which is what the field file stores.
 
-Gate windows carry the calibration records produced by the gates module;
+Gate windows carry the calibration records produced by the gates module,
+with the bump's calibrated duration and the logical gate beside them;
 simulate_schedule replays those records at the gate-model level rather
 than re-solving the field theory, and says so in its metadata.  It reads
 only the Schedule, so a replay needs no rendered field.
@@ -58,7 +60,7 @@ from .gates import (
 from .passage import scale_parameters
 
 INTER_QUBIT_TUNNELING = 1e-10
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 CSV_BLOCK_VALUES = 1 << 12   # samples per save_csv write (about 300 kB of text)
 
 
@@ -377,34 +379,16 @@ def native_entangling_phases(params: CompileParams = None):
     return cal.achieved_phases[0], cal.achieved_phases[1]
 
 
-@dataclass(frozen=True)
-class _RenderInputs:
-    """What the render reads besides the Schedule itself."""
-
-    depth: float
-    width: float
-    centers: np.ndarray       # (n,) qubit block centres
-    wells: np.ndarray         # (n, 2): left and right well of each qubit
-    edges: np.ndarray         # window boundaries, 0 to t_total
-    t_ramp: float
-    chirp: ChirpSource        # the prep pulse, chirp.T its duration
-    gates: list               # (gate, calibration, duration) per gate window
-    beta_x: float
-
-
 def schedule(circuit: LogicalCircuit, params: CompileParams,
              config: ScalingConfig):
     """The schedule compile renders, without sampling either field.
 
     Routing, the gate calibrations, the window edges and records, the
     grids, the sample-cap check and the resources read off them are all
-    here; nothing of size nt * nx is allocated.
+    here; nothing of size nt * nx is allocated.  Each gate window's record
+    is its calibration, the bump's calibrated duration and the logical
+    gate it realizes, so the Schedule alone fixes the rendered fields.
     """
-    return _plan(circuit, params, config)[0]
-
-
-def _plan(circuit, params, config):
-    """(Schedule, _RenderInputs): the schedule step of schedule and compile."""
     nn = insert_swaps(circuit)
     n = nn.n_qubits
     g_count = len(nn.gates)
@@ -424,8 +408,6 @@ def _plan(circuit, params, config):
     omega0 = m
     t_prep = sp.T / omega0
     band = sp.B * omega0
-    chirp = ChirpSource(omega0=omega0, kappa=band / t_prep, T=t_prep,
-                        amplitude=sp.g)
 
     # gate calibrations first, window durations follow from them
     gate_entries = []
@@ -473,10 +455,6 @@ def _plan(circuit, params, config):
     t = np.linspace(0.0, t_total, nt)
     x = np.linspace(x0, x1, nx)
 
-    # static layout: one double well per qubit, wells[q] = (left, right)
-    centers = np.array([q * pitch for q in range(n)])
-    wells = np.stack([centers - intra / 2.0, centers + intra / 2.0], axis=1)
-
     # J2 is switched on over the first window and off over the last; the
     # prep window drives J1, its time reversal takes the particles out
     prep_bound = sp.epsilon_used  # passage error bound with unit prefactor
@@ -487,11 +465,16 @@ def _plan(circuit, params, config):
             {"eps": sp.epsilon_used, "g": sp.g, "lam_source": sp.lam,
              "B": sp.B, "T": sp.T, "prep_infidelity_bound": prep_bound}),
     ]
-    for k, (gate, cal, _) in enumerate(gate_entries):
-        note = {"angle": gate.angle, "alpha": gate.alpha, "beta": gate.beta}
+    # the window's t_end - t_start carries the rounding of the cumulative
+    # edges, so the record states the calibrated duration itself
+    for k, (gate, cal, duration) in enumerate(gate_entries):
+        record = cal.record() | {
+            "duration": duration,
+            "logical": {"angle": gate.angle, "alpha": gate.alpha,
+                        "beta": gate.beta}}
         windows.append(ScheduleWindow(
             f"gate:{gate.kind}", float(edges[2 + k]), float(edges[3 + k]),
-            gate.qubits, cal.record() | note))
+            gate.qubits, record))
     windows.append(ScheduleWindow(
         "reverse_prep", float(edges[-3]), float(edges[-2]), tuple(range(n)),
         {"prep_infidelity_bound": prep_bound}))
@@ -517,30 +500,33 @@ def _plan(circuit, params, config):
         t_prep=float(edges[2] - edges[1]), gate_times=gate_times,
         total_gate_time=sum(gate_times, 0.0), extent=float(extent),
         samples=samples, bit_count=64 * samples, config=asdict(config))
-    plan = Schedule(
+    return Schedule(
         t=t, x=x, windows=windows, resources=resources,
         params=params_record, config_hash=_config_hash(params_record, config),
         metadata=meta)
-    inputs = _RenderInputs(depth=depth, width=width, centers=centers,
-                           wells=wells, edges=edges, t_ramp=t_ramp,
-                           chirp=chirp, gates=gate_entries,
-                           beta_x=params.beta_x)
-    return plan, inputs
 
 
-def _render(plan: Schedule, inputs: _RenderInputs):
-    """(J1, J2) of a planned schedule, built from their factors.
+def _render(plan: Schedule):
+    """(J1, J2) of a schedule, built from their factors.
 
-    J1 = (pulse(t) - pulse(T_total - t)) x S(x) and J2 = envelope(t) x
-    layout(x); each gate window then adds its deformation in place on its
-    own rows.
+    Every value comes from the Schedule, which is the field file's header:
+    the layout from params, the ramps and the prep from their windows, and
+    each gate term from its window's record.  J1 = (pulse(t) -
+    pulse(T_total - t)) x S(x) and J2 = envelope(t) x layout(x); each gate
+    window then adds its deformation in place on its own rows.
     """
     t, x = plan.t, plan.x
     nt = t.size
     t_total = plan.metadata["t_total"]
-    depth, width = inputs.depth, inputs.width
-    centers, wells, edges = inputs.centers, inputs.wells, inputs.edges
-    t_ramp, t_prep = inputs.t_ramp, inputs.chirp.T
+    p = plan.params
+    m, depth, width = p["m"], p["well_depth"], p["well_width"]
+    first, prep, *gate_windows, _, last = plan.windows
+    t_ramp = first.t_end
+
+    # static layout: one double well per qubit, wells[q] = (left, right)
+    centers = np.arange(plan.metadata["n_qubits"]) * p["pitch"]
+    wells = np.stack([centers - p["intra_spacing"] / 2.0,
+                      centers + p["intra_spacing"] / 2.0], axis=1)
 
     def well(center):
         return -depth * _gaussian(x, center, width)
@@ -549,8 +535,8 @@ def _render(plan: Schedule, inputs: _RenderInputs):
 
     # J2 = envelope (x) layout, switched on over the first window and off
     # over the last; gate windows add their local terms below
-    ramp_up = t < edges[1]
-    ramp_down = t > edges[-2]
+    ramp_up = t < t_ramp
+    ramp_down = t > last.t_start
     envelope = np.ones(nt)
     envelope[ramp_up] = _switch(t[ramp_up] / t_ramp)
     envelope[ramp_down] = _switch((t_total - t[ramp_down]) / t_ramp)
@@ -558,30 +544,34 @@ def _render(plan: Schedule, inputs: _RenderInputs):
 
     # prep: chirped J1 pulse centered in each qubit's left well, minus its
     # time reversal, so J1(T - t) = -J1(t) by value (see the module note)
-    prep_t0, prep_t1 = float(edges[1]), float(edges[2])
-    sel = (t >= prep_t0) & (t <= prep_t1)
+    rec = prep.calibration
+    t_prep = rec["T"] / m
+    chirp = ChirpSource(omega0=m, kappa=rec["B"] * m / t_prep, T=t_prep,
+                        amplitude=rec["g"])
+    sel = (t >= prep.t_start) & (t <= prep.t_end)
     pulse = np.zeros(nt)
-    pulse[sel] = inputs.chirp(t[sel] - prep_t0 - t_prep / 2.0)
+    pulse[sel] = chirp(t[sel] - prep.t_start - t_prep / 2.0)
     profile = sum(_gaussian(x, c, width) for c in wells[:, 0])
     j1 = np.outer(pulse - pulse[::-1], profile)
 
-    # gate windows: J2 deformations on the window's rows (t >= w0, t < w1)
-    for k, (gate, cal, dur) in enumerate(inputs.gates):
-        w0, w1 = float(edges[2 + k]), float(edges[3 + k])
-        rows = slice(*np.searchsorted(t, (w0, w1)))
-        s_local = (t[rows] - w0) / dur
-        bump = gevrey_bump(s_local)
-        if gate.kind == "zrot":
+    # gate windows: J2 deformations on the window's rows (t_start <= t < t_end)
+    for w in gate_windows:
+        rec = w.calibration
+        rows = slice(*np.searchsorted(t, (w.t_start, w.t_end)))
+        bump = gevrey_bump((t[rows] - w.t_start) / rec["duration"])
+        if w.label == "gate:zrot":
             # deepen the occupied (left) well of the target qubit
-            amp = abs(cal.parameter_value) / 50.0
-            j2[rows] += np.outer(amp * bump, well(wells[gate.qubits[0], 0]))
-        elif gate.kind == "xrot":
-            # lower the barrier between the target qubit's wells
-            barrier = depth * _gaussian(x, centers[gate.qubits[0]], width / 2.0)
-            j2[rows] += np.outer((inputs.beta_x / 100.0) * bump, barrier)
+            amp = abs(rec["beta"]) / 50.0
+            j2[rows] += np.outer(amp * bump, well(wells[w.qubits[0], 0]))
+        elif w.label == "gate:xrot":
+            # add +(beta/100) depth bump(s) times a Gaussian of half the
+            # well width at the target qubit's centre: this raises the
+            # barrier between its wells
+            barrier = depth * _gaussian(x, centers[w.qubits[0]], width / 2.0)
+            j2[rows] += np.outer((rec["beta"] / 100.0) * bump, barrier)
         else:
             # move the facing center wells of the qubit pair toward each other
-            qa, qb = sorted(gate.qubits)
+            qa, qb = sorted(w.qubits)
             ca, cb = wells[qa, 1], wells[qb, 0]
             shift = (0.3 * (cb - ca)) * bump[:, None] / BUMP_PEAK
             moved_a = well(ca + shift)
@@ -596,9 +586,9 @@ def _render(plan: Schedule, inputs: _RenderInputs):
 def compile(circuit: LogicalCircuit, params: CompileParams = None,
             config: ScalingConfig = None):
     """Compile a logical circuit into sampled source fields with annotations."""
-    plan, inputs = _plan(circuit, params or CompileParams(),
-                         config or ScalingConfig())
-    j1, j2 = _render(plan, inputs)
+    plan = schedule(circuit, params or CompileParams(),
+                    config or ScalingConfig())
+    j1, j2 = _render(plan)
     return CompiledFields(**vars(plan), j1=j1, j2=j2)
 
 

@@ -18,6 +18,7 @@ from fieldforge.compiler import (
     native_entangling_phases,
     schedule,
 )
+from fieldforge.gates import calibrate_z_gate
 
 
 def run(capsys, argv):
@@ -216,6 +217,26 @@ def test_compile_writes_fields(capsys, tmp_path, circuit_file, config_file):
     assert loaded.x.size == data["nx"]
     assert loaded.config_hash == data["config_hash"]
     assert (tmp_path / "out" / "fields.csv").exists()
+
+
+def test_compiled_header_keeps_gate_calibrations(capsys, tmp_path):
+    # at the default params the Z window's header holds the solved bump
+    # amplitude and the X window's the configured beta_x
+    circuit = tmp_path / "zx.json"
+    circuit.write_text(json.dumps({"n_qubits": 1, "gates": [
+        {"kind": "zrot", "qubits": [0], "angle": 0.3},
+        {"kind": "xrot", "qubits": [0], "angle": 0.9}]}))
+    out_dir = tmp_path / "out"
+    code, _, _ = run(capsys, ["compile", "--circuit", str(circuit),
+                              "--out", str(out_dir)])
+    assert code == 0
+    header = json.loads((out_dir / "fields.json").read_text())
+    z, x = header["windows"][2:4]
+    params = CompileParams()
+    tau_z = params.resolved()[4]
+    assert z["calibration"]["beta"] == calibrate_z_gate(
+        0.3, tau=tau_z * params.m).parameter_value
+    assert x["calibration"]["beta"] == params.beta_x
 
 
 def test_verify_within_budget(capsys, circuit_file, config_file):

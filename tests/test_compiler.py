@@ -27,6 +27,7 @@ from fieldforge.errors import (
     InfeasibleGate,
     ValidationError,
 )
+from fieldforge.gates import calibrate_z_gate
 
 ALPHA, BETA = native_entangling_phases()
 FAST = CompileParams(eps=0.5)
@@ -192,6 +193,47 @@ def test_window_sequence(compiled):
     prep = compiled.windows[1]
     assert prep.calibration["eps"] == 0.5
     assert prep.calibration["prep_infidelity_bound"] == 0.5
+
+
+def test_gate_records_keep_their_calibration():
+    # the logical gate sits under "logical", beside the calibration record
+    # rather than over it: a Z window keeps its solved bump amplitude and
+    # an X window its beta_x
+    params = CompileParams()
+    circuit = LogicalCircuit(1, (GateSpec("zrot", (0,), angle=0.3),
+                                 GateSpec("xrot", (0,), angle=0.9)))
+    z, x = schedule(circuit, params, ScalingConfig()).windows[2:4]
+    tau_z = params.resolved()[4]
+    beta_z = calibrate_z_gate(0.3, tau=tau_z * params.m).parameter_value
+    assert beta_z == pytest.approx(-1.0669, abs=1e-4)
+    assert z.calibration["beta"] == beta_z
+    assert z.calibration["duration"] == tau_z
+    assert z.calibration["logical"] == {"angle": 0.3, "alpha": 0.0,
+                                        "beta": 0.0}
+    assert x.calibration["beta"] == params.beta_x
+    assert x.calibration["logical"]["angle"] == 0.9
+
+
+def _assert_header_renders_fields(fields, out_dir):
+    fields.save(out_dir)
+    j1, j2 = compiler._render(CompiledFields.load(out_dir))
+    assert j1.tobytes() == fields.j1.tobytes()
+    assert j2.tobytes() == fields.j2.tobytes()
+
+
+def test_header_renders_the_stored_fields(compiled, tmp_path):
+    # the field file's header is the whole description of its fields
+    _assert_header_renders_fields(compiled, tmp_path / "m1")
+    # at m = 2, T / m and tau / m are not exact: a value the render
+    # rebuilt in another float order would show in the last bits
+    params = CompileParams(m=2.0, eps=0.5)
+    alpha, beta = native_entangling_phases(params)
+    circuit = LogicalCircuit(3, (
+        GateSpec("zrot", (2,), angle=-0.4),
+        GateSpec("xrot", (0,), angle=1.1),
+        GateSpec("entangling", (0, 2), alpha=alpha, beta=beta),
+    ))
+    _assert_header_renders_fields(compile(circuit, params), tmp_path / "m2")
 
 
 def test_routing_happens_inside_compile(compiled, mixed_circuit):
@@ -447,10 +489,12 @@ def test_load_rejects_corrupt_files(compiled, tmp_path):
         CompiledFields.load(tmp_path)
     compiled.save(tmp_path)
     header = json.loads((tmp_path / "fields.json").read_text())
-    header["format_version"] = 99
-    (tmp_path / "fields.json").write_text(json.dumps(header))
-    with pytest.raises(ValidationError):
-        CompiledFields.load(tmp_path)
+    # a version 2 header lacks the gate durations, so it cannot re-render
+    for version in (2, 99):
+        header["format_version"] = version
+        (tmp_path / "fields.json").write_text(json.dumps(header))
+        with pytest.raises(ValidationError):
+            CompiledFields.load(tmp_path)
 
 
 def test_field_build_and_file_io_peak_memory(tmp_path):
