@@ -6,10 +6,10 @@ Hamiltonian at t + (1/2 -+ sqrt(3)/6) dt, one step is exactly exp(-i K),
 
     K = dt/2 (H1 + H2) - i (sqrt(3)/12) dt^2 [H2, H1].
 
-Two-level steps are exponentiated in closed form in the Pauli basis and
-multiplied as unit quaternions; larger steps take one batched eigh.  Both
-routes combine the steps by pairwise (log-depth) reduction, BLOCK steps at
-a time, so transient memory does not grow with the step count.
+evolve is the one driver and its caller picks the step kernel; no matrix
+size is dispatched on.  hermitian(h) takes one batched eigh of the steps,
+two_level(h) a closed form in the Pauli basis and quaternion products, and
+both reduce pairwise (log depth), BLOCK steps at a time, so memory is flat.
 """
 
 import numpy as np
@@ -23,20 +23,21 @@ _NODE = np.sqrt(3.0) / 6.0     # Gauss nodes at 1/2 -+ _NODE of a step
 _COMMUTATOR = np.sqrt(3.0) / 12.0
 
 
-def evolve(h, y0, t0, t1, tol):
+def evolve(block, y0, t0, t1, tol):
     """Integrate i dY/dt = H(t) Y from t0 to t1 with 4th-order Magnus steps.
 
-    h maps an array of n times to an (n, d, d) stack of Hermitian matrices.
-    y0 is a state vector or a matrix whose columns evolve together (y0 = I
-    gives the propagator).  The step count starts at FIRST_STEPS and
-    doubles until max|Y_2n - Y_n| / 15 < tol, the Richardson estimate of
-    the error of Y_2n.  Returns (Y(t1) from the 2n steps, the number of
-    steps taken over all the doublings).
+    block is the step kernel, hermitian(h) or two_level(h): it maps the
+    Gauss nodes of a run of steps, in pairs, and dt to their ordered
+    product.  y0 is a state vector or a matrix whose columns evolve
+    together (y0 = I gives the propagator).  The step count starts at
+    FIRST_STEPS and doubles until max|Y_2n - Y_n| / 15 < tol, the
+    Richardson estimate of the error of Y_2n.  Returns (Y(t1) from the 2n
+    steps, the number of steps taken over all the doublings).
     """
     y0 = np.asarray(y0, dtype=complex)
     prev, taken, n = None, 0, FIRST_STEPS
     while n <= MAX_STEPS:
-        y = _propagator(h, t0, t1, n, y0.shape[0]) @ y0
+        y = _propagator(block, t0, t1, n, y0.shape[0]) @ y0
         taken += n
         if prev is not None:
             err = np.max(np.abs(y - prev)) / 15.0
@@ -48,58 +49,55 @@ def evolve(h, y0, t0, t1, tol):
     raise IntegrationFailure(f"no convergence to {tol:g} in {MAX_STEPS} steps")
 
 
-def _propagator(h, t0, t1, n, d):
+def _propagator(block, t0, t1, n, d):
     """Product of n Magnus steps over [t0, t1], built BLOCK steps at a time."""
     dt = (t1 - t0) / n
     u = np.eye(d, dtype=complex)
     for lo in range(0, n, BLOCK):
         mid = np.arange(lo, min(lo + BLOCK, n)) + 0.5
         nodes = np.stack([mid - _NODE, mid + _NODE], axis=1).ravel()
-        hs = np.asarray(h(t0 + (t1 - t0) * nodes / n), dtype=complex)
-        if hs.shape != (nodes.size, d, d):
-            raise ValidationError(f"h returned shape {hs.shape}")
-        if d == 2:
-            # K in the Pauli basis: [H2, H1] = 2i (h2 x h1).sigma
-            h0, hv = _pauli(hs)
-            h1, h2 = hv[0::2], hv[1::2]
-            a = 0.5 * dt * (h1 + h2) + 2.0 * _COMMUTATOR * dt ** 2 * _cross(h2, h1)
-            step = _two_level_product(0.5 * dt * (h0[0::2] + h0[1::2]), a)
-        else:
-            h1, h2 = hs[0::2], hs[1::2]
-            k = 0.5 * dt * (h1 + h2) - 1j * _COMMUTATOR * dt ** 2 * (h2 @ h1 - h1 @ h2)
-            step = _eigh_product(k)
+        step = block(t0 + (t1 - t0) * nodes / n, dt)
+        if step.shape != (d, d):
+            raise ValidationError(f"step product has shape {step.shape}")
         u = step @ u
     return u
 
 
+def hermitian(h):
+    """Kernel for h mapping n times to an (n, d, d) Hermitian stack."""
+    def block(t, dt):
+        hs = np.asarray(h(t), dtype=complex)
+        if hs.shape != (t.size,) + hs.shape[-1:] * 2:
+            raise ValidationError(f"h returned shape {hs.shape}")
+        h1, h2 = hs[0::2], hs[1::2]
+        return exp_product(0.5 * dt * (h1 + h2)
+                           - 1j * _COMMUTATOR * dt ** 2 * (h2 @ h1 - h1 @ h2))
+    return block
+
+
+def two_level(h):
+    """Kernel for h mapping n times to (a0, a) of shapes (n,) and (n, 3),
+    with H = a0 I + a.sigma; [H2, H1] = 2i (a2 x a1).sigma."""
+    def block(t, dt):
+        a0, a = h(t)
+        return _two_level_product(
+            0.5 * dt * (a0[0::2] + a0[1::2]),
+            0.5 * dt * (a[0::2] + a[1::2])
+            + 2.0 * _COMMUTATOR * dt ** 2 * _cross(a[1::2], a[0::2]))
+    return block
+
+
 def exp_product(k):
     """Ordered product exp(-i k[-1]) ... exp(-i k[0]) of a Hermitian stack."""
-    if k.shape[1] == 2:
-        return _two_level_product(*_pauli(k))
-    return _eigh_product(k)
-
-
-def _eigh_product(k):
     w, v = np.linalg.eigh(k)
     steps = (v * np.exp(-1j * w)[:, np.newaxis, :]) @ v.conj().transpose(0, 2, 1)
     return _reduce(steps, np.matmul)
 
 
-def _pauli(m):
-    """(a0, a) with m = a0 I + a.sigma for a stack of Hermitian 2x2 matrices."""
-    m00, m11 = m[:, 0, 0].real, m[:, 1, 1].real
-    a = np.empty((len(m), 3))
-    a[:, 0] = m[:, 0, 1].real + m[:, 1, 0].real
-    a[:, 1] = m[:, 1, 0].imag - m[:, 0, 1].imag
-    a[:, 2] = m00 - m11
-    return 0.5 * (m00 + m11), 0.5 * a
-
-
 def _cross(u, v):
     out = np.empty_like(u)
-    out[:, 0] = u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1]
-    out[:, 1] = u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2]
-    out[:, 2] = u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        out[:, i] = u[:, j] * v[:, k] - u[:, k] * v[:, j]
     return out
 
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from ._ode import evolve, exp_product
+from ._ode import evolve, exp_product, hermitian
 from .errors import DegenerateGap, GapClosure, ValidationError, _count
 
 HERMITICITY_TOL = 1e-12
@@ -278,8 +278,8 @@ def _reduced_propagator(system, trajectory, d):
     Second-order in the step; the step-halving invariant (phases move by
     under 1e-6) is the accuracy check.  The generator is built on the
     tracked levels only, so untracked levels may come arbitrarily close
-    to one another; the steps tau ds M_mid go through the propagator's
-    exponential-and-product kernel at once.
+    to one another; the steps tau ds M_mid go through exp_product, the
+    batched-eigh product of the propagator's hermitian kernel, at once.
     """
     smid, (w, v) = _midpoint_frames(system, trajectory)
     m = frame_generator(system, smid, basis=(w[:, :d], v[:, :, :d]))
@@ -316,7 +316,7 @@ def propagate(system: TimeDependentHamiltonian, subspace_dim, mode="reduced",
         return PropagationResult(unitary=u, mode=mode, trajectory=traj,
                                  subspace_dim=d, steps=len(traj.s_samples) - 1)
 
-    u_lab, steps = evolve(lambda t: system.stack(t / system.tau),
+    u_lab, steps = evolve(hermitian(lambda t: system.stack(t / system.tau)),
                           np.eye(system.dimension), 0.0, system.tau, FULL_TOL)
     u_frame = traj.vectors[-1].conj().T @ u_lab @ traj.vectors[0]
     leak = 0.0

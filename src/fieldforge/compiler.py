@@ -183,6 +183,10 @@ class ScheduleWindow:
     qubits: tuple = ()
     calibration: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # a field file's header holds qubits as a JSON list
+        self.qubits = tuple(self.qubits)
+
 
 @dataclass
 class Schedule:
@@ -627,17 +631,16 @@ def simulate_schedule(sched: Schedule, model_level="gate_models"):
             continue
         kind = w.label.split(":", 1)[1]
         cal = w.calibration
-        qubits = tuple(w.qubits)
         phases = cal["achieved_phases"]
         if kind == "zrot":
             # the z record holds the exponent phase, the gate its negative
-            gate = GateSpec(kind, qubits, angle=-phases[0])
+            gate = GateSpec(kind, w.qubits, angle=-phases[0])
         elif kind == "xrot":
-            gate = GateSpec(kind, qubits, angle=phases[0])
+            gate = GateSpec(kind, w.qubits, angle=phases[0])
         elif kind == "entangling":
-            gate = GateSpec(kind, qubits, alpha=phases[0], beta=phases[1])
+            gate = GateSpec(kind, w.qubits, alpha=phases[0], beta=phases[1])
         else:  # swap replayed as ideal with tripled gate cost
-            gate = GateSpec(kind, qubits)
+            gate = GateSpec(kind, w.qubits)
         replayed.append(gate)
         multiplier = 3.0 if kind == "swap" else 1.0
         contribution = multiplier * (cal["infidelity"] + lam)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ode import evolve
+from ._ode import evolve, two_level
 from .errors import IntegrationFailure, UnstableVacuum, ValidationError
 
 SWEEP_TOL = 1e-10
@@ -74,15 +74,6 @@ class PassageResult:
     steps: int             # Magnus steps taken, over all step doublings
 
 
-def _two_level_stack(t, off_diagonal, excited):
-    """Stack of [[0, conj(off_diagonal)], [off_diagonal, excited]] over times t."""
-    out = np.zeros((t.size, 2, 2), dtype=complex)
-    out[:, 1, 0] = off_diagonal
-    out[:, 0, 1] = np.conj(off_diagonal)
-    out[:, 1, 1] = excited
-    return out
-
-
 def propagate_sweep(sweep: TwoLevelSweep, frame="rwa"):
     """Propagate |g> from -T/2 to +T/2 in the chosen frame.
 
@@ -90,7 +81,10 @@ def propagate_sweep(sweep: TwoLevelSweep, frame="rwa"):
     term included, in the interaction picture of omega0 (see the module
     docstring), and re-expresses the final state in the rotating frame
     with the single phase e^{i (Theta - omega0 t)} on the excited
-    amplitude, so the two frames are directly comparable.  Fourth-order
+    amplitude, so the two frames are directly comparable.  H goes to the
+    two_level kernel as Pauli components a0 I + a.sigma: rwa has
+    a0 = -Delta/2 and a = (Omega/2, 0, Delta/2), lab has a0 = 0 and a the
+    real and imaginary parts of the off-diagonal drive.  Fourth-order
     Magnus steps with closed-form two-level exponentials double until the
     Richardson error estimate max|psi_2n - psi_n| / 15 falls below
     SWEEP_TOL, which keeps the norm within 1e-9 even for the very long
@@ -102,12 +96,17 @@ def propagate_sweep(sweep: TwoLevelSweep, frame="rwa"):
 
     if frame == "rwa":
         def h(t):
-            return _two_level_stack(t, sweep.Omega / 2.0, -sweep.detuning(t))
+            half = 0.5 * sweep.detuning(t)
+            a = np.zeros((t.size, 3))
+            a[:, 0], a[:, 2] = sweep.Omega / 2.0, half
+            return -half, a
     else:
         def h(t):
             drive = sweep.Omega * np.cos(sweep.drive_phase(t))
-            return _two_level_stack(t, drive * np.exp(1j * sweep.omega0 * t), 0.0)
-    psi, steps = evolve(h, [1.0, 0.0], t0, t1, SWEEP_TOL)
+            off = drive * np.exp(1j * sweep.omega0 * t)
+            return np.zeros(t.size), np.stack(
+                [off.real, off.imag, np.zeros(t.size)], axis=1)
+    psi, steps = evolve(two_level(h), [1.0, 0.0], t0, t1, SWEEP_TOL)
     if frame == "lab":
         psi[1] *= np.exp(1j * (sweep.drive_phase(t1) - sweep.omega0 * t1))
 

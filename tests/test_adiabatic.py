@@ -6,7 +6,8 @@ from scipy.integrate import simpson, solve_ivp
 from scipy.linalg import expm
 from scipy.optimize import linear_sum_assignment
 
-from fieldforge._ode import _eigh_product, evolve, exp_product
+from fieldforge._ode import (_two_level_product, evolve, exp_product,
+                             hermitian, two_level)
 from fieldforge.adiabatic import (TimeDependentHamiltonian, _midpoint_frames,
                                   bump_integral, build_frame_trajectory,
                                   frame_generator, gevrey_bump, propagate)
@@ -188,13 +189,13 @@ def test_evolve_matches_expm_for_constant_hamiltonian():
     def h(t):
         return np.broadcast_to(h0, (t.size, 3, 3))
 
-    psi, steps = evolve(h, psi0, t0, t1, 1e-12)
+    psi, steps = evolve(hermitian(h), psi0, t0, t1, 1e-12)
     assert psi.shape == (3,)
     np.testing.assert_allclose(psi, u @ psi0, rtol=0.0, atol=1e-10)
     # commuting steps: the first doubling already agrees
     assert steps == 64 + 128
     cols = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-    out, _ = evolve(h, cols, t0, t1, 1e-12)
+    out, _ = evolve(hermitian(h), cols, t0, t1, 1e-12)
     assert out.shape == (3, 2)
     np.testing.assert_allclose(out, u @ cols, rtol=0.0, atol=1e-10)
 
@@ -217,7 +218,7 @@ def test_evolve_matches_dop853_for_time_dependent_three_level():
                     (t0, t1), np.eye(3, dtype=complex).ravel(),
                     method="DOP853", rtol=1e-13, atol=1e-15)
     oracle = sol.y[:, -1].reshape(3, 3)
-    u, _ = evolve(h, np.eye(3), t0, t1, 1e-12)
+    u, _ = evolve(hermitian(h), np.eye(3), t0, t1, 1e-12)
     np.testing.assert_allclose(u, oracle, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(u @ u.conj().T, np.eye(3), atol=1e-12)
 
@@ -227,20 +228,71 @@ def _hermitian_stack(rng, n, d, scale):
     return scale * (a + a.conj().transpose(0, 2, 1))
 
 
+def _pauli(m):
+    """(a0, a) with m = a0 I + a.sigma for a stack of Hermitian 2x2 matrices."""
+    a0 = 0.5 * (m[:, 0, 0] + m[:, 1, 1]).real
+    a = np.stack([m[:, 1, 0].real, m[:, 1, 0].imag,
+                  0.5 * (m[:, 0, 0] - m[:, 1, 1]).real], axis=1)
+    return a0, a
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 64])
 def test_two_level_closed_form_matches_eigh(n):
     rng = np.random.default_rng(n)
     k = _hermitian_stack(rng, n, 2, 0.7)
     k[n // 2] = 0.0                       # a zero step: r = 0
-    np.testing.assert_allclose(exp_product(k), _eigh_product(k),
-                               rtol=0.0, atol=1e-14)
+    closed = _two_level_product(*_pauli(k))
+    np.testing.assert_allclose(closed, exp_product(k), rtol=0.0, atol=1e-14)
     if n <= 7:
         # ordered product, last step leftmost
         oracle = np.eye(2)
         for step in k:
             oracle = expm(-1j * step) @ oracle
-        np.testing.assert_allclose(exp_product(k), oracle, rtol=0.0,
-                                   atol=1e-13)
+        np.testing.assert_allclose(closed, oracle, rtol=0.0, atol=1e-13)
+
+
+def _driven_two_level(t):
+    """Non-commuting, time-dependent H = a0 I + a.sigma as Pauli components."""
+    t = np.asarray(t, dtype=float)
+    a = np.stack([0.8 * np.cos(1.7 * t), 0.5 * np.sin(t ** 2),
+                  0.3 + 0.6 * t], axis=-1)
+    return 0.2 * np.sin(3.0 * t), a
+
+
+def _dense(a0, a):
+    """The (n, 2, 2) stack a0 I + a.sigma."""
+    x, y, z = a[..., 0], a[..., 1], a[..., 2]
+    return np.stack([np.stack([a0 + z, x - 1j * y], axis=-1),
+                     np.stack([x + 1j * y, a0 - z], axis=-1)], axis=-2)
+
+
+def test_two_level_and_hermitian_kernels_agree():
+    t0, t1 = -0.7, 2.2
+    u2, steps2 = evolve(two_level(_driven_two_level), np.eye(2), t0, t1, 1e-12)
+    uh, stepsh = evolve(hermitian(lambda t: _dense(*_driven_two_level(t))),
+                        np.eye(2), t0, t1, 1e-12)
+    np.testing.assert_allclose(u2, uh, rtol=0.0, atol=1e-12)
+    assert steps2 == stepsh
+    sol = solve_ivp(
+        lambda t, y: (-1j * _dense(*_driven_two_level(t)) @ y.reshape(2, 2)).ravel(),
+        (t0, t1), np.eye(2, dtype=complex).ravel(), method="DOP853",
+        rtol=1e-13, atol=1e-15)
+    oracle = sol.y[:, -1].reshape(2, 2)
+    np.testing.assert_allclose(u2, oracle, rtol=0.0, atol=1e-10)
+    np.testing.assert_allclose(uh, oracle, rtol=0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("extra, tail", [(0, (2,)), (0, (2, 3)), (1, (2, 2)),
+                                         (0, (2, 2, 2)), (0, (3, 3))],
+                         ids=["vectors", "non-square", "count", "4d",
+                              "dimension"])
+def test_hermitian_kernel_rejects_wrong_shape(extra, tail):
+    # a (3, 3) step product for a 2-state y0 is refused by the driver
+    def h(t):
+        return np.zeros((t.size + extra,) + tail)
+
+    with pytest.raises(ValidationError):
+        evolve(hermitian(h), [1.0, 0.0], 0.0, 1.0, 1e-10)
 
 
 def test_evolve_rejects_non_finite_hamiltonian():
@@ -248,7 +300,15 @@ def test_evolve_rejects_non_finite_hamiltonian():
         return np.full((t.size, 2, 2), np.nan, dtype=complex)
 
     with pytest.raises(IntegrationFailure):
-        evolve(h, [1.0, 0.0], 0.0, 1.0, 1e-10)
+        evolve(hermitian(h), [1.0, 0.0], 0.0, 1.0, 1e-10)
+
+
+def test_two_level_rejects_non_finite_components():
+    def h(t):
+        return np.full(t.size, np.nan), np.full((t.size, 3), np.nan)
+
+    with pytest.raises(IntegrationFailure):
+        evolve(two_level(h), [1.0, 0.0], 0.0, 1.0, 1e-10)
 
 
 def test_static_hamiltonian_phases():

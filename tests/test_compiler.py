@@ -346,8 +346,7 @@ def test_save_load_round_trip(compiled, tmp_path):
     assert np.array_equal(loaded.x, compiled.x)
     assert loaded.config_hash == compiled.config_hash
     assert loaded.resources == compiled.resources
-    assert [w.label for w in loaded.windows] == \
-        [w.label for w in compiled.windows]
+    assert loaded.windows == compiled.windows
     csv_path = os.path.join(tmp_path, "fields.csv")
     with open(csv_path) as fh:
         head = fh.readline().strip()

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from fieldforge._ode import _propagator, evolve
+from fieldforge._ode import _propagator, evolve, hermitian, two_level
 from fieldforge.errors import UnstableVacuum, ValidationError
 from fieldforge.passage import (CONDITION_NAMES, SWEEP_TOL, TwoLevelSweep,
-                                _two_level_stack, check_conditions,
-                                prep_time_estimate, propagate_sweep,
-                                rwa_error_bound, scale_parameters)
+                                check_conditions, prep_time_estimate,
+                                propagate_sweep, rwa_error_bound,
+                                scale_parameters)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -129,20 +129,23 @@ def test_lab_frame_within_rwa_bound():
 
 def _schrodinger_lab_sweep(sweep):
     """The lab frame with the static splitting in H: [[0, drive], [drive,
-    omega0]] through the same Magnus integrator, then diag(1, e^{i Theta})."""
+    omega0]] through the dense hermitian kernel, then diag(1, e^{i Theta})."""
     def h(t):
-        drive = sweep.Omega * np.cos(sweep.drive_phase(t))
-        return _two_level_stack(t, drive, sweep.omega0)
+        out = np.zeros((t.size, 2, 2), dtype=complex)
+        out[:, 0, 1] = out[:, 1, 0] = sweep.Omega * np.cos(sweep.drive_phase(t))
+        out[:, 1, 1] = sweep.omega0
+        return out
 
     t1 = sweep.T / 2.0
-    psi, _ = evolve(h, [1.0, 0.0], -t1, t1, SWEEP_TOL)
+    psi, _ = evolve(hermitian(h), [1.0, 0.0], -t1, t1, SWEEP_TOL)
     psi[1] *= np.exp(1j * sweep.drive_phase(t1))
     return psi
 
 
 def test_lab_frame_matches_schrodinger_picture():
     # the interaction picture of omega0 changes the integrator's work, not
-    # the dynamics: counter-rotating term and back transform included.
+    # the dynamics: counter-rotating term and back transform included.  The
+    # two routes also cross the kernels, two_level against hermitian.
     # Each route stops once its own error estimate is below SWEEP_TOL, so
     # the two may differ by up to twice that (1.0e-10 on the first sweep,
     # whose routes sit 8.0e-11 and 3.7e-11 from DOP853 at rtol 1e-13).
@@ -196,14 +199,29 @@ def test_ladder_sweep_as_close_as_dop853():
     assert err <= np.max(np.abs(former - converged))
 
 
-def test_magnus_steps_converge_at_fourth_order():
+def _rwa_kernel(sweep, kernel):
+    """The rwa Hamiltonian [[0, Omega/2], [Omega/2, -Delta]] for a kernel."""
+    def pauli(t):
+        half = 0.5 * sweep.detuning(t)
+        zero = np.zeros(t.size)
+        return -half, np.stack([zero + sweep.Omega / 2.0, zero, half], axis=1)
+
+    def dense(t):
+        out = np.zeros((t.size, 2, 2), dtype=complex)
+        out[:, 0, 1] = out[:, 1, 0] = sweep.Omega / 2.0
+        out[:, 1, 1] = -sweep.detuning(t)
+        return out
+
+    return two_level(pauli) if kernel == "two_level" else hermitian(dense)
+
+
+@pytest.mark.parametrize("kernel", ["two_level", "hermitian"])
+def test_magnus_steps_converge_at_fourth_order(kernel):
     sweep = TwoLevelSweep(1.0, 0.3, 0.5, 40.0)
     converged = _dop853_sweep(sweep, "rwa", 1e-13, 1e-16)
-
-    def h(t):
-        return _two_level_stack(t, sweep.Omega / 2.0, -sweep.detuning(t))
-
-    errs = [np.max(np.abs(_propagator(h, -20.0, 20.0, n, 2)[:, 0] - converged))
+    block = _rwa_kernel(sweep, kernel)
+    errs = [np.max(np.abs(_propagator(block, -20.0, 20.0, n, 2)[:, 0]
+                          - converged))
             for n in (64, 128)]
     assert 12.0 <= errs[0] / errs[1] <= 20.0
 
