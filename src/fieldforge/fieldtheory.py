@@ -16,7 +16,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
 
 from .errors import (DimensionMismatch, GridTooLarge, InfeasibleNulling,
-                     UnstableVacuum, ValidationError)
+                     UnstableVacuum, ValidationError, _count)
 from .potentials import Grid
 from .schrodinger import _fix_signs
 
@@ -58,12 +58,20 @@ def mode_decomposition(j2, m, grid: Grid, n_continuum=0):
     Each psi is positive at its leftmost largest-magnitude sample, so the
     sign does not depend on rounding when J2 is mirror-symmetric.
     """
-    if m <= 0:
-        raise ValidationError("need m > 0")
+    if not m > 0:
+        raise ValidationError(f"need m > 0, got {m!r}")
     j2 = np.asarray(j2, dtype=float)
     if j2.shape != grid.x.shape:
         raise DimensionMismatch("J2 shape does not match the grid")
-    w2 = m * m + 2.0 * j2
+    if n_continuum is not None:
+        n_continuum = _count(n_continuum, "n_continuum")
+        if n_continuum < 0:
+            raise ValidationError(f"need n_continuum >= 0, got {n_continuum}")
+    # NaN or inf in m or J2, or an m^2 + 2 J2 that overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = m * m + 2.0 * j2
+    if not np.isfinite(w2).all():
+        raise ValidationError("m^2 + 2 J2 must be finite")
     if np.min(w2) <= 0.0:
         raise UnstableVacuum(f"m^2 + 2 J2 reaches {np.min(w2)}")
     dx = grid.dx
@@ -74,7 +82,7 @@ def mode_decomposition(j2, m, grid: Grid, n_continuum=0):
     if n_continuum is None:
         n_keep = len(diag)
     else:
-        n_keep = n_bound + int(n_continuum)
+        n_keep = n_bound + n_continuum
     if n_keep == 0:
         raise ValidationError("no modes requested: n_continuum = 0 and no bound modes")
     if n_keep > len(diag):
@@ -310,6 +318,27 @@ class ProbeReport:
     spacing: float
 
 
+def _signed_gram(v, weights, w):
+    """(v diag(weights) v^T)_lm / sqrt(w_l w_m) for mode rows v, as
+    U+ U+^T - U- U-^T over the columns of positive and negative weight.
+
+    U is as wide as the window; it is freed on return, before the probe
+    allocates A and B.
+    """
+    u = v * np.sqrt(np.abs(weights))
+    u /= np.sqrt(w)[:, None]
+    # numpy's matmul takes the symmetric rank-k (syrk) route, half the
+    # flops of a general product, only when both operands are one buffer
+    positive = weights > 0
+    up = u if positive.all() else u[:, positive]
+    q = up @ up.T
+    negative = weights < 0
+    if negative.any():
+        un = u[:, negative]
+        q -= un @ un.T
+    return q
+
+
 def local_energy_probe(f, basis: ModeBasis):
     """Windowed energy H_f = sum_x a f(x) H(x) in the free-mode vacuum.
 
@@ -333,13 +362,24 @@ def local_energy_probe(f, basis: ModeBasis):
         A_lm = Qt_lm (w_l + w_m)^2 / (4 sqrt(w_l w_m))
         B_lm = Qt_lm (w_l - w_m)^2 / (8 sqrt(w_l w_m)),
 
-    so one dense product Qt = V^T F V gives both, and B carries no
-    cancellation between the two forms.
+    and B carries no cancellation between the two forms.  Both are read
+    off one signed symmetric product,
+
+        S = W^(-1/2) Qt W^(-1/2) = U+ U+^T - U- U-^T,
+        U = W^(-1/2) V^T sqrt(|F| a),
+
+    with U+ (U-) the columns of U where f > 0 (f < 0), as
+
+        A_lm = S_lm ((w_l + w_m)/2)^2,   B_lm = S_lm ((w_l - w_m)/sqrt(8))^2,
+
+    so A and B are exactly symmetric.
     """
     grid = basis.grid
     fvals = np.asarray(f(grid.x) if callable(f) else f, dtype=float)
     if fvals.shape != grid.x.shape:
         raise DimensionMismatch("envelope shape mismatch")
+    if not np.isfinite(fvals).all():
+        raise ValidationError("envelope must be finite")
     # sum_x a f H(x) is the lattice quadrature of the continuum forms, so
     # Qt is the dx-weighted overlap of the int psi^2 dx = 1 mode rows; the
     # points where f is exactly zero add nothing, so the product runs over
@@ -347,13 +387,17 @@ def local_energy_probe(f, basis: ModeBasis):
     inner = fvals[1:-1]
     nonzero = np.flatnonzero(inner)
     lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
-    v = basis.psis[:, 1 + lo:1 + hi]
-    qt = (v * (inner[lo:hi] * grid.dx)) @ v.T
     w = basis.omegas
-    root = np.sqrt(w[:, None] * w[None, :])
-    a_mat = qt * ((w[:, None] + w[None, :]) ** 2 / (4.0 * root))
-    b_mat = qt * ((w[:, None] - w[None, :]) ** 2 / (8.0 * root))
+    q = _signed_gram(basis.psis[:, 1 + lo:1 + hi], inner[lo:hi] * grid.dx, w)
+    half = w / 2.0
+    a_mat = np.add.outer(half, half)
+    a_mat *= a_mat
+    a_mat *= q
+    scaled = w / np.sqrt(8.0)
+    b_mat = np.subtract.outer(scaled, scaled)
+    b_mat *= b_mat
+    b_mat *= q
     mean = float(0.5 * np.trace(a_mat))
-    variance = float(2.0 * np.sum(b_mat ** 2))
+    variance = float(2.0 * np.vdot(b_mat, b_mat))
     shift = float(a_mat[0, 0])
     return ProbeReport(mean, variance, shift, a_mat, b_mat, float(grid.dx))

@@ -105,6 +105,20 @@ def test_mode_decomposition_validation():
         mode_decomposition(np.zeros(grid.n), 1.0, grid, n_continuum=grid.n - 1)
     full = mode_decomposition(np.zeros(grid.n), 1.0, grid, n_continuum=None)
     assert len(full.omegas) == grid.n - 2
+    for m in (np.nan, np.inf, 1e200):
+        with pytest.raises(ValidationError):
+            mode_decomposition(np.zeros(grid.n), m, grid)
+    for bad in (np.nan, np.inf, -np.inf, 1e308):
+        j2 = np.zeros(grid.n)
+        j2[grid.n // 2] = bad
+        with pytest.raises(ValidationError):
+            mode_decomposition(j2, 1.0, grid)
+    for n_continuum in (2.7, -5, "2"):
+        with pytest.raises(ValidationError):
+            mode_decomposition(np.zeros(grid.n), 1.0, grid,
+                               n_continuum=n_continuum)
+    assert len(mode_decomposition(np.zeros(grid.n), 1.0, grid,
+                                  n_continuum=3.0).omegas) == 3
 
 
 def _leftmost_peak(rows):
@@ -389,6 +403,11 @@ def test_probe_callable_and_array_agree(probe_basis):
 def test_probe_validation(probe_basis):
     with pytest.raises(DimensionMismatch):
         local_energy_probe(np.ones(10), probe_basis)
+    for bad in (np.nan, np.inf, -np.inf):
+        f = np.ones(probe_basis.grid.n)
+        f[probe_basis.grid.n // 2] = bad
+        with pytest.raises(ValidationError):
+            local_energy_probe(f, probe_basis)
 
 
 def _two_product_probe(f, basis):
@@ -413,7 +432,7 @@ def _two_product_probe(f, basis):
 
 @pytest.mark.parametrize("n_continuum", [None, 5])
 @pytest.mark.parametrize("window", ["sharp", "smooth", "edge", "zero",
-                                    "signed"])
+                                    "signed", "negative"])
 def test_probe_matches_two_product_formula(window, n_continuum):
     grid = Grid.symmetric(20.0, 301)
     basis = mode_decomposition(square_well(grid.x), 1.0, grid,
@@ -428,13 +447,18 @@ def test_probe_matches_two_product_formula(window, n_continuum):
         f = (x >= 7.0) * (1.0 + 0.1 * x)
     elif window == "zero":
         f = np.zeros_like(x)
-    else:
+    elif window == "signed":
         # negative values and interior zeros inside the nonzero span
         f = np.where(np.abs(x + 3.0) <= 6.0, np.sin(x), 0.0)
+    else:
+        # f < 0 over its whole span: only the U- U-^T part is nonzero
+        f = -np.exp(-(x - 2.0) ** 2 / 8.0) * (np.abs(x - 2.0) <= 5.0)
     report = local_energy_probe(f, basis)
     a_ref, b_ref = _two_product_probe(f, basis)
     np.testing.assert_allclose(report.a_matrix, a_ref, rtol=0.0, atol=1e-10)
     np.testing.assert_allclose(report.b_matrix, b_ref, rtol=0.0, atol=1e-10)
+    assert np.array_equal(report.a_matrix, report.a_matrix.T)
+    assert np.array_equal(report.b_matrix, report.b_matrix.T)
     assert report.mean == pytest.approx(0.5 * np.trace(a_ref), rel=1e-12)
     assert report.shift == pytest.approx(a_ref[0, 0], rel=1e-12)
     if window == "zero":
