@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 
 import numpy as np
@@ -35,10 +36,11 @@ from .chirp import ChirpSource, g_component, region_bound
 from .circuits import GateSpec, LogicalCircuit, vacuum_amplitude
 from .compiler import (
     CompileParams,
+    CompiledFields,
     ScalingConfig,
-    compile as compile_circuit,
     infidelity_budget,
     native_entangling_phases,
+    save as save_fields,
     schedule,
     simulate_schedule,
 )
@@ -240,20 +242,23 @@ def _cmd_calibrate(args):
 def _cmd_compile(args):
     params, scaling = _load_config(args.config)
     circuit = load_circuit(args.circuit, params)
-    compiled = compile_circuit(circuit, params, scaling)
+    plan = schedule(circuit, params, scaling)
     out_dir = args.out or "compiled"
-    compiled.save(out_dir, csv_fallback=(args.format == "csv"))
+    save_fields(plan, out_dir, "fields")
     files = ["fields.json", "fields.bin"]
     if args.format == "csv":
+        # from the file just written, so the CSV holds the payload's values
+        CompiledFields.load(out_dir).save_csv(
+            os.path.join(out_dir, "fields.csv"))
         files.append("fields.csv")
     _emit({
         "out": out_dir, "files": files,
-        "nt": compiled.t.size, "nx": compiled.x.size,
-        "t_total": compiled.metadata["t_total"],
-        "extent": compiled.metadata["extent"],
-        "config_hash": compiled.config_hash,
-        "windows": [w.label for w in compiled.windows],
-        "resources": dataclasses.asdict(compiled.resources),
+        "nt": plan.t.size, "nx": plan.x.size,
+        "t_total": plan.metadata["t_total"],
+        "extent": plan.metadata["extent"],
+        "config_hash": plan.config_hash,
+        "windows": [w.label for w in plan.windows],
+        "resources": dataclasses.asdict(plan.resources),
     })
     return 0
 

@@ -7,17 +7,27 @@ well-trajectory window per gate, the time-reversed preparation, and the
 turn-off.  It fixes the sample grids, checks them against the sample cap
 and returns a Schedule: the window records, the resources read off them,
 the resolved parameters and the metadata, with no field sampled.  The
-render step (_render, inside compile) reads the Schedule and nothing
-else, so a field file's header is enough to rebuild its fields bit for
-bit.  It builds both fields from their separable factors.  J1 is the
-outer product (pulse(t) - pulse(T_total - t)) x S(x), with S the sum of
-the qubits' left-well Gaussians.  Float subtraction is antisymmetric,
-so on the (symmetric) time grid J1(T_total - t) = -J1(t) holds by value,
-and bit for bit on every row where the pulse difference is nonzero.  Where it is zero
-(outside the prep windows) both mirror rows hold +0.0, not the -0.0 of a
-negation.  J2 is envelope(t) x layout(x), and each gate window adds its
-local deformation in place on its own rows.  CompiledFields is the
+render step reads the Schedule and nothing else, so a field file's header
+is enough to rebuild its fields bit for bit.  It builds both fields from
+their separable factors in two passes: _fillers computes the factors once,
+each of length nt or nx, and returns one fill per field that writes any
+block of rows [lo, hi) into a caller's buffer.  J1 is the outer product
+(pulse(t) - pulse(T_total - t)) x S(x), with S the sum of the qubits'
+left-well Gaussians.  Float subtraction is antisymmetric, so on the
+(symmetric) time grid J1(T_total - t) = -J1(t) holds by value, and bit
+for bit on every row where the pulse difference is nonzero.  Where it is
+zero (outside the prep windows) both mirror rows hold +0.0, not the -0.0
+of a negation.  J2 is envelope(t) x layout(x), plus each gate window's
+local deformation on the rows where the window and the block overlap.
+Every value depends on its row and column only, never on the block, so
+any blocking gives the same bits.
+
+_render fills all rows at once; compile returns CompiledFields, the
 Schedule with the two dense grids, which is what the field file stores.
+save streams a Schedule instead: it fills FILE_BLOCK_VALUES samples at a
+time into one reused buffer and writes each block as it is made, so the
+CLI's compile holds one block, not two (nt, nx) grids, and writes the
+bytes CompiledFields.save writes.
 
 Gate windows carry the calibration records produced by the gates module,
 with the bump's calibrated duration and the logical gate beside them;
@@ -62,6 +72,7 @@ from .passage import scale_parameters
 INTER_QUBIT_TUNNELING = 1e-10
 FORMAT_VERSION = 3
 CSV_BLOCK_VALUES = 1 << 12   # samples per save_csv write (about 300 kB of text)
+FILE_BLOCK_VALUES = 1 << 17  # samples per streamed payload block (1 MB)
 
 
 @dataclass(frozen=True)
@@ -213,32 +224,9 @@ class CompiledFields(Schedule):
     j1: np.ndarray            # (nt, nx): pulse difference x left-well profile
     j2: np.ndarray            # (nt, nx): envelope x layout, plus gate windows
 
-    def save(self, out_dir, basename="fields", csv_fallback=False):
+    def save(self, out_dir, basename="fields"):
         """JSON header plus raw little-endian float64 payload (t outer, x inner)."""
-        os.makedirs(out_dir, exist_ok=True)
-        header = {
-            "format_version": FORMAT_VERSION,
-            "t0": float(self.t[0]), "t1": float(self.t[-1]),
-            "dt": float(self.t[1] - self.t[0]), "nt": int(self.t.size),
-            "x0": float(self.x[0]), "x1": float(self.x[-1]),
-            "dx": float(self.x[1] - self.x[0]), "nx": int(self.x.size),
-            "units": "natural, mass m = 1 scale",
-            "payload": basename + ".bin",
-            "payload_order": ["j1", "j2"],
-            "windows": [asdict(w) for w in self.windows],
-            "resources": asdict(self.resources),
-            "params": self.params,
-            "config_hash": self.config_hash,
-            "metadata": self.metadata,
-        }
-        with open(os.path.join(out_dir, basename + ".json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump(header, fh, indent=2)
-        with open(os.path.join(out_dir, basename + ".bin"), "wb") as fh:
-            for values in (self.j1, self.j2):
-                np.ascontiguousarray(values, "<f8").tofile(fh)
-        if csv_fallback:
-            self.save_csv(os.path.join(out_dir, basename + ".csv"))
+        _write_field_file(self, out_dir, basename, (self.j1, self.j2))
 
     def save_csv(self, path):
         """One "t,x,j1,j2" row per sample, time-major, at 17 digits.
@@ -296,6 +284,36 @@ class CompiledFields(Schedule):
         return cls(t=t, x=x, j1=j1, j2=j2, windows=windows, resources=res,
                    params=header["params"], config_hash=header["config_hash"],
                    metadata=header["metadata"])
+
+
+def _write_field_file(plan, out_dir, basename, blocks):
+    """The JSON header of plan, then blocks as the little-endian payload.
+
+    blocks yields J1's rows and then J2's, t outer and x inner, in row
+    blocks of any size; each block is written before the next is drawn.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    header = {
+        "format_version": FORMAT_VERSION,
+        "t0": float(plan.t[0]), "t1": float(plan.t[-1]),
+        "dt": float(plan.t[1] - plan.t[0]), "nt": int(plan.t.size),
+        "x0": float(plan.x[0]), "x1": float(plan.x[-1]),
+        "dx": float(plan.x[1] - plan.x[0]), "nx": int(plan.x.size),
+        "units": "natural, mass m = 1 scale",
+        "payload": basename + ".bin",
+        "payload_order": ["j1", "j2"],
+        "windows": [asdict(w) for w in plan.windows],
+        "resources": asdict(plan.resources),
+        "params": plan.params,
+        "config_hash": plan.config_hash,
+        "metadata": plan.metadata,
+    }
+    with open(os.path.join(out_dir, basename + ".json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(header, fh, indent=2)
+    with open(os.path.join(out_dir, basename + ".bin"), "wb") as fh:
+        for block in blocks:
+            np.ascontiguousarray(block, "<f8").tofile(fh)
 
 
 def _row_strings(values, fmt):
@@ -393,11 +411,7 @@ def schedule(circuit: LogicalCircuit, params: CompileParams,
     is its calibration, the bump's calibrated duration and the logical
     gate it realizes, so the Schedule alone fixes the rendered fields.
     """
-    nn = insert_swaps(circuit)
-    n = nn.n_qubits
-    g_count = len(nn.gates)
-    lam = config.lambda_prefactor / max(g_count, 1)
-
+    n = circuit.n_qubits
     m, depth, width, intra, tau_z = params.resolved()
     gap, tunneling = _inter_qubit_gap(m, depth)
     pitch = intra + gap
@@ -407,9 +421,27 @@ def schedule(circuit: LogicalCircuit, params: CompileParams,
     x1 = (n - 1) * pitch + intra / 2.0 + margin
     extent = x1 - x0
 
+    # a lower bound on the samples meets the cap before routing, since
+    # insert_swaps builds each distant gate's swap chain, up to n long.
+    # With more gates the prep T = max(eps^-8, G^2) grows and the band
+    # eps^4 shrinks, so every window is at least its G = 1 length and
+    # omega_max at least the carrier's 1.25 omega0: no routing needs fewer
+    omega0 = m
+    t_ramp = 50.0 / m
+    t_prep = scale_parameters(params.eps, G=1).T / omega0
+    nt, nx, _, _ = compute_sampling(sum([t_ramp, t_prep, t_prep, t_ramp]),
+                                    extent, omega0 * 1.25, m,
+                                    config.oversampling)
+    if 2 * nt * nx > config.sample_cap:
+        raise BudgetExceeded(f"schedule needs at least {2 * nt * nx} "
+                             f"samples, cap is {config.sample_cap}")
+
+    nn = insert_swaps(circuit)
+    g_count = len(nn.gates)
+    lam = config.lambda_prefactor / max(g_count, 1)
+
     # prep chirp per qubit, parameters from the passage scaling ladder
     sp = scale_parameters(params.eps, G=max(g_count, 1))
-    omega0 = m
     t_prep = sp.T / omega0
     band = sp.B * omega0
 
@@ -440,7 +472,6 @@ def schedule(circuit: LogicalCircuit, params: CompileParams,
             gate_entries.append((gate, cal,
                                  3.0 * sched.tau * cal.parameter_value))
 
-    t_ramp = 50.0 / m
     durations = ([t_ramp, t_prep] + [d for (_, _, d) in gate_entries]
                  + [t_prep, t_ramp])
     t_total = sum(durations)
@@ -510,14 +541,18 @@ def schedule(circuit: LogicalCircuit, params: CompileParams,
         metadata=meta)
 
 
-def _render(plan: Schedule):
-    """(J1, J2) of a schedule, built from their factors.
+def _fillers(plan: Schedule):
+    """(fill_j1, fill_j2): fill(lo, hi, out) writes a field's rows [lo, hi).
 
     Every value comes from the Schedule, which is the field file's header:
     the layout from params, the ramps and the prep from their windows, and
-    each gate term from its window's record.  J1 = (pulse(t) -
-    pulse(T_total - t)) x S(x) and J2 = envelope(t) x layout(x); each gate
-    window then adds its deformation in place on its own rows.
+    each gate term from its window's record.  The factors are built here,
+    once, each of length nt or nx: the envelope, the pulse difference, the
+    layout, the left-well profile, and each gate window's rows and bump.
+    A fill writes J1 = (pulse(t) - pulse(T_total - t)) x S(x) or J2 =
+    envelope(t) x layout(x) on its rows into out, of shape (hi - lo, nx),
+    adds each gate window's deformation on the rows it shares with the
+    block, and returns out.
     """
     t, x = plan.t, plan.x
     nt = t.size
@@ -538,13 +573,12 @@ def _render(plan: Schedule):
     layout = sum(map(well, wells.ravel()))
 
     # J2 = envelope (x) layout, switched on over the first window and off
-    # over the last; gate windows add their local terms below
+    # over the last; gate windows add their local terms in fill_j2
     ramp_up = t < t_ramp
     ramp_down = t > last.t_start
     envelope = np.ones(nt)
     envelope[ramp_up] = _switch(t[ramp_up] / t_ramp)
     envelope[ramp_down] = _switch((t_total - t[ramp_down]) / t_ramp)
-    j2 = np.outer(envelope, layout)
 
     # prep: chirped J1 pulse centered in each qubit's left well, minus its
     # time reversal, so J1(T - t) = -J1(t) by value (see the module note)
@@ -555,36 +589,80 @@ def _render(plan: Schedule):
     sel = (t >= prep.t_start) & (t <= prep.t_end)
     pulse = np.zeros(nt)
     pulse[sel] = chirp(t[sel] - prep.t_start - t_prep / 2.0)
+    difference = pulse - pulse[::-1]
     profile = sum(_gaussian(x, c, width) for c in wells[:, 0])
-    j1 = np.outer(pulse - pulse[::-1], profile)
 
-    # gate windows: J2 deformations on the window's rows (t_start <= t < t_end)
+    # gate windows: (first row, end row, time factor, x factor) on the
+    # window's rows t_start <= t < t_end; an entangling-class window's x
+    # factor is the pair of facing well centres its time factor moves
+    terms = []
     for w in gate_windows:
         rec = w.calibration
-        rows = slice(*np.searchsorted(t, (w.t_start, w.t_end)))
-        bump = gevrey_bump((t[rows] - w.t_start) / rec["duration"])
+        r0, r1 = np.searchsorted(t, (w.t_start, w.t_end))
+        bump = gevrey_bump((t[r0:r1] - w.t_start) / rec["duration"])
         if w.label == "gate:zrot":
             # deepen the occupied (left) well of the target qubit
             amp = abs(rec["beta"]) / 50.0
-            j2[rows] += np.outer(amp * bump, well(wells[w.qubits[0], 0]))
+            terms.append((r0, r1, amp * bump, well(wells[w.qubits[0], 0])))
         elif w.label == "gate:xrot":
             # add +(beta/100) depth bump(s) times a Gaussian of half the
             # well width at the target qubit's centre: this raises the
             # barrier between its wells
             barrier = depth * _gaussian(x, centers[w.qubits[0]], width / 2.0)
-            j2[rows] += np.outer((rec["beta"] / 100.0) * bump, barrier)
+            terms.append((r0, r1, (rec["beta"] / 100.0) * bump, barrier))
         else:
             # move the facing center wells of the qubit pair toward each other
             qa, qb = sorted(w.qubits)
             ca, cb = wells[qa, 1], wells[qb, 0]
-            shift = (0.3 * (cb - ca)) * bump[:, None] / BUMP_PEAK
-            moved_a = well(ca + shift)
-            moved_a -= well(ca)
-            moved_b = well(cb - shift)
-            moved_b -= well(cb)
-            moved_a += moved_b
-            j2[rows] += moved_a
-    return j1, j2
+            terms.append((r0, r1, (0.3 * (cb - ca)) * bump / BUMP_PEAK,
+                          (ca, cb)))
+
+    def fill_j1(lo, hi, out):
+        return np.multiply(difference[lo:hi, None], profile, out=out)
+
+    def fill_j2(lo, hi, out):
+        np.multiply(envelope[lo:hi, None], layout, out=out)
+        for r0, r1, time_factor, x_factor in terms:
+            a, b = max(r0, lo), min(r1, hi)
+            if a >= b:
+                continue
+            rows, coef = out[a - lo:b - lo], time_factor[a - r0:b - r0]
+            if isinstance(x_factor, tuple):
+                ca, cb = x_factor
+                shift = coef[:, None]
+                moved_a = well(ca + shift)
+                moved_a -= well(ca)
+                moved_b = well(cb - shift)
+                moved_b -= well(cb)
+                moved_a += moved_b
+                rows += moved_a
+            else:
+                rows += np.outer(coef, x_factor)
+        return out
+
+    return fill_j1, fill_j2
+
+
+def _render(plan: Schedule):
+    """(J1, J2) of a schedule: each field's fill over all of its rows."""
+    shape = (plan.t.size, plan.x.size)
+    return tuple(fill(0, shape[0], np.empty(shape))
+                 for fill in _fillers(plan))
+
+
+def _render_blocks(plan: Schedule):
+    """J1's rows and then J2's, FILE_BLOCK_VALUES samples at a time.
+
+    Every block is a view of one reused buffer, so each must be consumed
+    before the next is drawn.
+    """
+    nt, nx = plan.t.size, plan.x.size
+    rows = max(1, FILE_BLOCK_VALUES // nx)
+    buffer = np.empty((min(rows, nt), nx))
+    for fill in _fillers(plan):
+        for lo in range(0, nt, rows):
+            hi = min(lo + rows, nt)
+            yield fill(lo, hi, buffer[:hi - lo])
 
 
 def compile(circuit: LogicalCircuit, params: CompileParams = None,
@@ -594,6 +672,17 @@ def compile(circuit: LogicalCircuit, params: CompileParams = None,
                     config or ScalingConfig())
     j1, j2 = _render(plan)
     return CompiledFields(**vars(plan), j1=j1, j2=j2)
+
+
+def save(plan: Schedule, out_dir, basename):
+    """Write a schedule's field file without holding its fields.
+
+    J1 and J2 are rendered FILE_BLOCK_VALUES samples at a time into one
+    reused buffer, and each block is written as it is made, so no (nt, nx)
+    array is allocated.  The bytes are those CompiledFields.save writes
+    for the compiled schedule.
+    """
+    _write_field_file(plan, out_dir, basename, _render_blocks(plan))
 
 
 @dataclass(frozen=True)

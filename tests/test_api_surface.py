@@ -10,7 +10,7 @@ import pathlib
 
 import fieldforge
 
-SETTABLE_VALUES = 76
+SETTABLE_VALUES = 75
 
 
 def _settable(tree):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,30 @@ def test_sample_cap_exits_three(capsys, tmp_path, circuit_file, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_compile_holds_one_row_block(capsys, tmp_path):
+    # the fields are rendered and written in row blocks, so the command's
+    # peak stays far below one (nt, nx) field, let alone the two it writes
+    circuit = tmp_path / "circ.json"
+    circuit.write_text(json.dumps({"n_qubits": 3, "gates": [
+        {"kind": "xrot", "qubits": [0], "angle": 1.0},
+        {"kind": "entangling", "qubits": [0, 1]},
+        {"kind": "zrot", "qubits": [2], "angle": 0.3}]}))
+    native_entangling_phases()  # the entangling calibration is cached
+    tracemalloc.start()
+    try:
+        code = main(["compile", "--circuit", str(circuit),
+                     "--out", str(tmp_path / "out")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    data = json.loads(capsys.readouterr().out)
+    field_bytes = data["nt"] * data["nx"] * 8
+    assert data["nt"] * data["nx"] >= 2_000_000
+    assert os.path.getsize(tmp_path / "out" / "fields.bin") == 2 * field_bytes
+    assert peak < 0.25 * field_bytes
+
+
 def _src_env():
     """os.environ with this fieldforge's source tree first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(fieldforge.__file__))
@@ -317,6 +342,27 @@ def test_huge_register_exits_three(tmp_path):
     lines = proc.stderr.splitlines()
     assert len(lines) == 3
     assert all(line.startswith("error: schedule needs") for line in lines)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["estimate-resources", "compile"])
+def test_distant_gate_on_huge_register_meets_cap_before_routing(
+        capsys, monkeypatch, tmp_path, command):
+    # routing a gate between qubits 0 and 1e9 - 1 would build a chain of
+    # 1e9 swaps, so a lower bound on the samples must meet the cap first
+    def insert_swaps(circuit):
+        raise AssertionError("routed before the sample-cap check")
+
+    monkeypatch.setattr(compiler, "insert_swaps", insert_swaps)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n_qubits": 1_000_000_000, "gates": [
+        {"kind": "entangling", "qubits": [0, 999_999_999]}]}))
+    code, out, err = run(capsys, [command, "--circuit", str(path),
+                                  "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: schedule needs at least ")
+    assert err.rstrip().endswith("cap is 24000000")
     assert not (tmp_path / "out").exists()
 
 

@@ -236,6 +236,30 @@ def test_header_renders_the_stored_fields(compiled, tmp_path):
     _assert_header_renders_fields(compile(circuit, params), tmp_path / "m2")
 
 
+@pytest.mark.parametrize("rows", ["one", "non-divisor", "all"])
+def test_streamed_save_matches_compiled_save(compiled, mixed_circuit,
+                                             tmp_path, monkeypatch, rows):
+    # the mixed circuit has z, x, adjacent and distant entangling gates, so
+    # its windows include the routed swaps; blocks of one row and of 997
+    # rows end inside gate windows, and nt rows make one block per field
+    nt, nx = compiled.j1.shape
+    block = {"one": 1, "non-divisor": 997, "all": nt}[rows]
+    t = compiled.t
+    gate_rows = [np.searchsorted(t, (w.t_start, w.t_end))
+                 for w in compiled.windows if w.label.startswith("gate:")]
+    if block < nt:
+        assert block == 1 or nt % block
+        assert any(r0 < edge < r1 for edge in range(block, nt, block)
+                   for r0, r1 in gate_rows)
+    monkeypatch.setattr(compiler, "FILE_BLOCK_VALUES", block * nx)
+    compiled.save(tmp_path / "dense")
+    compiler.save(schedule(mixed_circuit, FAST, ScalingConfig()),
+                  tmp_path / "streamed", "fields")
+    for name in ("fields.json", "fields.bin"):
+        assert ((tmp_path / "streamed" / name).read_bytes()
+                == (tmp_path / "dense" / name).read_bytes())
+
+
 def test_routing_happens_inside_compile(compiled, mixed_circuit):
     assert compiled.resources.gate_count == 7
     assert compiled.metadata["gate_count"] == 7
@@ -338,7 +362,8 @@ def test_config_hash_ignores_number_spelling():
 
 
 def test_save_load_round_trip(compiled, tmp_path):
-    compiled.save(tmp_path, csv_fallback=True)
+    compiled.save(tmp_path)
+    compiled.save_csv(os.path.join(tmp_path, "fields.csv"))
     loaded = CompiledFields.load(tmp_path)
     assert np.array_equal(loaded.j1, compiled.j1)
     assert np.array_equal(loaded.j2, compiled.j2)
