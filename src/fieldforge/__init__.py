@@ -16,7 +16,6 @@ from .schrodinger import (
     BoundStates,
     dressed_propagator,
     solve_bound_states,
-    tunneling_and_interaction_estimates,
     wronskian,
 )
 from .passage import (

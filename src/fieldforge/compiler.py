@@ -11,13 +11,14 @@ render step reads the Schedule and nothing else, so a field file's header
 is enough to rebuild its fields bit for bit.  It builds both fields from
 their separable factors in two passes: _fillers computes the factors once,
 each of length nt or nx, and returns one fill per field that writes any
-block of rows [lo, hi) into a caller's buffer.  J1 is the outer product
-(pulse(t) - pulse(T_total - t)) x S(x), with S the sum of the qubits'
-left-well Gaussians.  Float subtraction is antisymmetric, so on the
-(symmetric) time grid J1(T_total - t) = -J1(t) holds by value, and bit
-for bit on every row where the pulse difference is nonzero.  Where it is
-zero (outside the prep windows) both mirror rows hold +0.0, not the -0.0
-of a negation.  J2 is envelope(t) x layout(x), plus each gate window's
+block of rows [lo, hi) into a caller's buffer.  Row i of J1 is
+(pulse[i] - pulse[nt-1-i]) x S(x), with S the sum of the qubits'
+left-well Gaussians; on the linspace time grid T_total - t[i] equals
+t[nt-1-i] only to rounding, so the mirror is by row index.  Float
+subtraction is antisymmetric, so J1[nt-1-i] = -J1[i] holds by value, and
+bit for bit on every row where the pulse difference is nonzero.  Where it
+is zero (outside the prep windows) both mirror rows hold +0.0, not the
+-0.0 of a negation.  J2 is envelope(t) x layout(x), plus each gate window's
 local deformation on the rows where the window and the block overlap.
 Every value depends on its row and column only, never on the block, so
 any blocking gives the same bits.
@@ -208,7 +209,7 @@ class Schedule:
     everything the field file's header holds.
     """
 
-    t: np.ndarray             # (nt,), symmetric: t[nt-1-i] = t[-1] - t[i]
+    t: np.ndarray             # (nt,); t[-1] - t[i] is t[nt-1-i] to rounding
     x: np.ndarray             # (nx,)
     windows: list
     resources: ResourceEstimate
@@ -324,7 +325,7 @@ def _row_strings(values, fmt):
     A row whose bits equal the previous row's reuses its strings.  Bits, not
     ==, because -0.0 == 0.0 but the two print as "-0" and "0".
 
-    The reverse prep mirrors the prep, J1(T - t) = -J1(t), so a row in the
+    The reverse prep mirrors the prep, J1[nt-1-i] = -J1[i], so a row in the
     first half whose bits equal those of its negated mirror row
     -values[nt - 1 - i] keeps its strings, joined by ",", until that mirror
     row comes up.  The mirror's strings are then the joined text with each
@@ -486,7 +487,7 @@ def schedule(circuit: LogicalCircuit, params: CompileParams,
     if samples > config.sample_cap:
         raise BudgetExceeded(
             f"schedule needs {samples} samples, cap is {config.sample_cap}")
-    # symmetric grids: t[nt-1-i] = t_total - t[i] exactly under linspace
+    # uniform grids: t_total - t[i] is t[nt-1-i] only to rounding
     t = np.linspace(0.0, t_total, nt)
     x = np.linspace(x0, x1, nx)
 
@@ -581,7 +582,7 @@ def _fillers(plan: Schedule):
     envelope[ramp_down] = _switch((t_total - t[ramp_down]) / t_ramp)
 
     # prep: chirped J1 pulse centered in each qubit's left well, minus its
-    # time reversal, so J1(T - t) = -J1(t) by value (see the module note)
+    # row-reversed copy, so J1[nt-1-i] = -J1[i] by value (module note)
     rec = prep.calibration
     t_prep = rec["T"] / m
     chirp = ChirpSource(omega0=m, kappa=rec["B"] * m / t_prep, T=t_prep,

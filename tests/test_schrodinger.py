@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from fieldforge.errors import (BoxTooSmall, ClassicallyAllowed, NoBoundStates,
-                               ValidationError)
+from fieldforge.errors import BoxTooSmall, NoBoundStates, ValidationError
 from fieldforge.potentials import (Grid, PoschlTeller, QESDoubleWell,
                                    SquareBarrier, Tabulated)
 from fieldforge.schrodinger import (barrier_wronskian_closed_form,
                                     dressed_propagator, solve_bound_states,
-                                    tunneling_and_interaction_estimates,
                                     wronskian)
 
 
@@ -143,13 +141,3 @@ def test_dressed_propagator_large_separation():
     prop = dressed_propagator(1.0, 1.5, 5.0)
     assert prop.value == pytest.approx(prop.large_separation, rel=1e-6)
     assert prop.value < 0
-
-
-def test_tunneling_estimates():
-    est = tunneling_and_interaction_estimates(2.0, 3.0, 0.5, 1.0, 0.1)
-    kappa = np.sqrt(2.0 * 1.5)
-    assert est.kappa == pytest.approx(kappa)
-    assert est.wkb_factor == pytest.approx(np.exp(-3.0 * kappa))
-    assert est.interaction_strength == pytest.approx(0.1 * np.exp(-6.0 * kappa))
-    with pytest.raises(ClassicallyAllowed):
-        tunneling_and_interaction_estimates(1.0, 1.0, 2.0, 1.0, 0.1)
