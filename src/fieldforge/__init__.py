@@ -1,5 +1,9 @@
 """Dual-rail well qubits driven by classical sources: solvers, calibration,
-spectra, and a circuit-to-field compiler."""
+spectra, and a circuit-to-field compiler.
+
+No module imports scipy at import time: each function imports the scipy
+routine it calls, so ``import fieldforge`` loads numpy only.
+"""
 
 __version__ = "0.1.0"
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from ._ode import evolve, exp_product, hermitian
 from .errors import DegenerateGap, GapClosure, ValidationError, _count
@@ -187,6 +186,7 @@ def _fix_gauge(prev_v, w, v):
     overlap = np.abs(prev_v.conj().transpose(0, 2, 1) @ v)
     diag = overlap[:, np.arange(d), np.arange(d)]
     for i in np.flatnonzero(~np.all(diag ** 2 > DOMINANT_OVERLAP, axis=1)):
+        from scipy.optimize import linear_sum_assignment
         row, col = linear_sum_assignment(-overlap[i])
         perm[i, row] = col
     v = np.take_along_axis(v, perm[:, np.newaxis, :], axis=2)

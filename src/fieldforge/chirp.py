@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import ValidationError, ZeroChirp
 
@@ -97,6 +96,7 @@ def fresnel(z):
         raise ValidationError("fresnel requires finite arguments")
     flat = zarr.ravel()
     az = np.abs(flat)
+    import scipy.special
     s, c = scipy.special.fresnel(az)
     for i in np.flatnonzero(az > _SCIPY_MAX):
         c[i], s[i] = _asymptotic_cs(float(az[i]))

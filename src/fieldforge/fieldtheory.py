@@ -10,9 +10,6 @@ Jt(omega_l, l) = int dt dx psi_l(x) exp(+i omega_l t) J1(t, x).
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-import scipy.sparse as sp
-from scipy.sparse.linalg import eigsh
 
 from .errors import (DimensionMismatch, GridTooLarge, InfeasibleNulling,
                      UnstableVacuum, ValidationError, _count)
@@ -79,6 +76,7 @@ def mode_decomposition(j2, m, grid: Grid, n_continuum=0):
     dx = grid.dx
     diag = 2.0 / dx ** 2 + w2[1:-1]
     off = -np.ones(len(diag) - 1) / dx ** 2
+    from scipy.linalg import eigh_tridiagonal
     w2_modes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stevd")
     n_bound = int(np.sum(w2_modes < m * m * (1.0 - 1e-12)))
     if n_continuum is None:
@@ -268,10 +266,16 @@ class FewBodyHamiltonian:
     include_relativistic: bool
 
     def lowest_eigenvalues(self, k=4):
+        """The k lowest eigenvalues, ascending; needs 1 <= k <= dim."""
         dim = self.matrix.shape[0]
-        if dim <= 1200:
+        k = _count(k, "k")
+        if not 1 <= k <= dim:
+            raise ValidationError(f"need 1 <= k <= {dim}, got {k}")
+        # ARPACK needs k < dim; the whole spectrum is a dense solve
+        if dim <= 1200 or k == dim:
             w = np.linalg.eigvalsh(self.matrix.toarray())
             return w[:k]
+        from scipy.sparse.linalg import eigsh
         return np.sort(eigsh(self.matrix, k=k, which="SA",
                              return_eigenvectors=False))
 
@@ -294,6 +298,7 @@ def nr_hamiltonian_terms(grid: Grid, j2, m, lam, n_particles=1,
     n = grid.n - 2                      # interior points
     if n ** n_particles > budget:
         raise GridTooLarge(f"{n}^{n_particles} exceeds budget {budget}")
+    import scipy.sparse as sp
     dx = grid.dx
     x_in = grid.x[1:-1]
     k2 = sp.diags([np.full(n, 2.0 / dx ** 2),

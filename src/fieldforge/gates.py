@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, matmul_toeplitz
 
 from .adiabatic import bump_integral, gevrey_bump
 from .errors import (
@@ -254,6 +253,7 @@ def propagate_two_qubit(schedule: TwoQubitSchedule):
     gen = (schedule.theta_x() * xsum
            + schedule.int_c() * p1
            + schedule.int_d() * p2)
+    from scipy.linalg import expm
     return expm(-1j * gen)
 
 
@@ -389,6 +389,7 @@ def coefficients_from_wells(trajectory: WellPairTrajectory, lam, m):
     # attractive pair kernel sampled on the relative-coordinate lattice,
     # reused across schedule samples
     contact, v_attr = effective_potential(np.arange(WELL_GRID) * dx, m, lam)
+    from scipy.linalg import matmul_toeplitz
 
     # singly-occupied reference: one isolated well
     iso = Tabulated(x, -t.depth * _gaussian(x, 0.0, t.width), units=natural(m))

@@ -7,8 +7,6 @@ c the kinetic coefficient of the potential's units convention.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
     BoxTooSmall,
@@ -77,6 +75,7 @@ def _solve_on_grid(potential, grid, max_states, tail_tol):
     off = -c / dx ** 2 * np.ones(x.size - 3)
     ceiling = float(potential.asymptote)
     floor = min(v.min(), ceiling) - 1.0
+    from scipy.linalg import eigh_tridiagonal
     w, vecs = eigh_tridiagonal(diag, off, select="v", select_range=(floor, ceiling))
     keep = w < ceiling - 1e-12
     w, vecs = w[keep], vecs[:, keep]
@@ -143,6 +142,7 @@ def _integrate_solution(potential, z, x_from, x_to, u0, du0):
     cuts.sort(reverse=x_to < x_from)
     y = np.array([u0, du0])
     segments = []
+    from scipy.integrate import solve_ivp
     for seg_end in cuts + [x_to]:
         sol = solve_ivp(rhs, (x_from, seg_end), y, method="RK45",
                         rtol=ODE_RTOL, atol=1e-300, dense_output=True)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -444,6 +445,32 @@ def test_nr_budget_and_validation():
                                     (np.inf, 0.2, 1), (1.0, np.nan, 2)]:
         with pytest.raises(ValidationError):
             nr_hamiltonian_terms(grid, j2, bad_m, lam, n_particles=n_particles)
+
+
+def test_nr_lowest_eigenvalues_validates_k():
+    grid = Grid.symmetric(6.0, 41)
+    dense = nr_hamiltonian_terms(grid, square_well(grid.x), 1.0, 0.0)
+    assert dense.matrix.shape == (39, 39)
+    full = np.linalg.eigvalsh(dense.matrix.toarray())
+    np.testing.assert_array_equal(dense.lowest_eigenvalues(39), full)
+    np.testing.assert_array_equal(dense.lowest_eigenvalues(2.0), full[:2])
+    grid = Grid.symmetric(6.0, 42)
+    sparse = nr_hamiltonian_terms(grid, square_well(grid.x), 1.0, 0.0,
+                                  n_particles=2)
+    dim = sparse.matrix.shape[0]
+    assert dim == 1600                  # above the dense cut: ARPACK
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        every = sparse.lowest_eigenvalues(dim)
+    assert every.shape == (dim,)
+    np.testing.assert_allclose(sparse.lowest_eigenvalues(3), every[:3],
+                               rtol=1e-10)
+    for ham, bad in [(dense, 0), (dense, -1), (dense, 40), (dense, 100),
+                     (dense, 2.5), (dense, "2"), (dense, np.nan),
+                     (dense, None), (sparse, 0), (sparse, dim + 1),
+                     (sparse, 2.5)]:
+        with pytest.raises(ValidationError):
+            ham.lowest_eigenvalues(bad)
 
 
 @pytest.fixture(scope="module")
