@@ -25,10 +25,13 @@ any blocking gives the same bits.
 
 _render fills all rows at once; compile returns CompiledFields, the
 Schedule with the two dense grids, which is what the field file stores.
-save streams a Schedule instead: it fills FILE_BLOCK_VALUES samples at a
-time into one reused buffer and writes each block as it is made, so the
-CLI's compile holds one block, not two (nt, nx) grids, and writes the
-bytes CompiledFields.save writes.
+save streams a Schedule instead, through the one payload writer
+_write_field_file: J1's and J2's row blocks are dealt in turn to two
+workers, the calling thread and one more, and each fills its block into
+its own buffer of FILE_BLOCK_VALUES // 2 samples and writes it at the
+block's offset in the file.  numpy and the write release the GIL, so the
+two overlap, and the CLI's compile holds one block's worth of buffers,
+not two (nt, nx) grids, while writing the bytes CompiledFields.save writes.
 
 Gate windows carry the calibration records produced by the gates module,
 with the bump's calibrated duration and the logical gate beside them;
@@ -51,6 +54,7 @@ import itertools
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -73,7 +77,7 @@ from .passage import scale_parameters
 INTER_QUBIT_TUNNELING = 1e-10
 FORMAT_VERSION = 3
 CSV_BLOCK_VALUES = 1 << 12   # samples per save_csv write (about 300 kB of text)
-FILE_BLOCK_VALUES = 1 << 17  # samples per streamed payload block (1 MB)
+FILE_BLOCK_VALUES = 1 << 17  # two save workers' blocks, in samples (1 MB)
 
 
 @dataclass(frozen=True)
@@ -227,7 +231,9 @@ class CompiledFields(Schedule):
 
     def save(self, out_dir, basename="fields"):
         """JSON header plus raw little-endian float64 payload (t outer, x inner)."""
-        _write_field_file(self, out_dir, basename, (self.j1, self.j2))
+        _write_field_file(self, out_dir, basename,
+                          (lambda lo, hi, out: self.j1[lo:hi],
+                           lambda lo, hi, out: self.j2[lo:hi]), False)
 
     def save_csv(self, path):
         """One "t,x,j1,j2" row per sample, time-major, at 17 digits.
@@ -287,11 +293,19 @@ class CompiledFields(Schedule):
                    metadata=header["metadata"])
 
 
-def _write_field_file(plan, out_dir, basename, blocks):
-    """The JSON header of plan, then blocks as the little-endian payload.
+def _write_field_file(plan, out_dir, basename, fills, buffered):
+    """The payload of plan's fields, then its JSON header.
 
-    blocks yields J1's rows and then J2's, t outer and x inner, in row
-    blocks of any size; each block is written before the next is drawn.
+    fills are J1's and J2's fill(lo, hi, out), each returning the field's
+    rows [lo, hi), t outer and x inner.  The rows are cut into blocks of
+    FILE_BLOCK_VALUES // 2 samples, J1's and then J2's, and block i goes to
+    worker i % 2: the calling thread and one more.  A worker passes out as
+    a view of its own buffer of that size when buffered, else None, and
+    writes what fill returns at the block's own offset in the file, so the
+    bytes do not depend on which worker finishes first.  The header is
+    written once every block has landed.  If a worker fails, the other
+    stops after its current block, the payload and any header are removed,
+    and the first error is raised as it was.
     """
     os.makedirs(out_dir, exist_ok=True)
     header = {
@@ -309,12 +323,56 @@ def _write_field_file(plan, out_dir, basename, blocks):
         "config_hash": plan.config_hash,
         "metadata": plan.metadata,
     }
-    with open(os.path.join(out_dir, basename + ".json"), "w",
-              encoding="utf-8") as fh:
-        json.dump(header, fh, indent=2)
-    with open(os.path.join(out_dir, basename + ".bin"), "wb") as fh:
-        for block in blocks:
-            np.ascontiguousarray(block, "<f8").tofile(fh)
+    nt, nx = plan.t.size, plan.x.size
+    rows = max(1, FILE_BLOCK_VALUES // 2 // nx)
+    blocks = [(k, lo, min(lo + rows, nt))
+              for k in range(2) for lo in range(0, nt, rows)]
+    header_path = os.path.join(out_dir, basename + ".json")
+    payload_path = os.path.join(out_dir, basename + ".bin")
+    errors = []
+
+    def work(mine):
+        buffer = np.empty((min(rows, nt), nx)) if buffered else None
+        try:
+            for k, lo, hi in mine:
+                if errors:
+                    return
+                out = None if buffer is None else buffer[:hi - lo]
+                data = memoryview(np.ascontiguousarray(
+                    fills[k](lo, hi, out), "<f8")).cast("B")
+                offset = (k * nt + lo) * nx * 8
+                while data:
+                    written = os.pwrite(fd, data, offset)
+                    data, offset = data[written:], offset + written
+        except BaseException as exc:
+            errors.append(exc)
+
+    try:
+        _unlink(header_path)  # a stale header must not describe this payload
+        fd = os.open(payload_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
+                     0o666)
+        try:
+            helper = threading.Thread(target=work, args=(blocks[1::2],))
+            helper.start()
+            work(blocks[0::2])
+            helper.join()
+        finally:
+            os.close(fd)
+        if errors:
+            raise errors[0]
+        with open(header_path, "w", encoding="utf-8") as fh:
+            json.dump(header, fh, indent=2)
+    except BaseException:
+        _unlink(payload_path)
+        _unlink(header_path)
+        raise
+
+
+def _unlink(path):
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
 
 
 def _row_strings(values, fmt):
@@ -651,21 +709,6 @@ def _render(plan: Schedule):
                  for fill in _fillers(plan))
 
 
-def _render_blocks(plan: Schedule):
-    """J1's rows and then J2's, FILE_BLOCK_VALUES samples at a time.
-
-    Every block is a view of one reused buffer, so each must be consumed
-    before the next is drawn.
-    """
-    nt, nx = plan.t.size, plan.x.size
-    rows = max(1, FILE_BLOCK_VALUES // nx)
-    buffer = np.empty((min(rows, nt), nx))
-    for fill in _fillers(plan):
-        for lo in range(0, nt, rows):
-            hi = min(lo + rows, nt)
-            yield fill(lo, hi, buffer[:hi - lo])
-
-
 def compile(circuit: LogicalCircuit, params: CompileParams = None,
             config: ScalingConfig = None):
     """Compile a logical circuit into sampled source fields with annotations."""
@@ -678,12 +721,12 @@ def compile(circuit: LogicalCircuit, params: CompileParams = None,
 def save(plan: Schedule, out_dir, basename):
     """Write a schedule's field file without holding its fields.
 
-    J1 and J2 are rendered FILE_BLOCK_VALUES samples at a time into one
-    reused buffer, and each block is written as it is made, so no (nt, nx)
-    array is allocated.  The bytes are those CompiledFields.save writes
-    for the compiled schedule.
+    J1 and J2 are rendered and written in row blocks on two threads, each
+    filling its own buffer of FILE_BLOCK_VALUES // 2 samples, so no (nt, nx)
+    array is allocated (see _write_field_file).  The bytes are those
+    CompiledFields.save writes for the compiled schedule.
     """
-    _write_field_file(plan, out_dir, basename, _render_blocks(plan))
+    _write_field_file(plan, out_dir, basename, _fillers(plan), True)
 
 
 @dataclass(frozen=True)

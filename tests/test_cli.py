@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -278,8 +279,9 @@ def test_sample_cap_exits_three(capsys, tmp_path, circuit_file, command):
 
 
 def test_compile_holds_one_row_block(capsys, tmp_path):
-    # the fields are rendered and written in row blocks, so the command's
-    # peak stays far below one (nt, nx) field, let alone the two it writes
+    # the fields are rendered and written in row blocks, two workers with
+    # a buffer of half a block each, so the command's peak stays far below
+    # one (nt, nx) field, let alone the two it writes
     circuit = tmp_path / "circ.json"
     circuit.write_text(json.dumps({"n_qubits": 3, "gates": [
         {"kind": "xrot", "qubits": [0], "angle": 1.0},
@@ -299,6 +301,29 @@ def test_compile_holds_one_row_block(capsys, tmp_path):
     assert data["nt"] * data["nx"] >= 2_000_000
     assert os.path.getsize(tmp_path / "out" / "fields.bin") == 2 * field_bytes
     assert peak < 0.25 * field_bytes
+
+
+def test_compile_write_failure_exits_three(capsys, tmp_path, monkeypatch,
+                                           circuit_file):
+    # an OSError on the second worker's first block reaches main unchanged
+    fillers = compiler._fillers
+
+    def failing(plan):
+        fill_j1, fill_j2 = fillers(plan)
+
+        def fill(lo, hi, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise OSError("injected write failure")
+            return fill_j1(lo, hi, out)
+        return fill, fill_j2
+
+    monkeypatch.setattr(compiler, "_fillers", failing)
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, ["compile", "--circuit", circuit_file,
+                                     "--out", str(out)])
+    assert code == 3 and stdout == ""
+    assert err.startswith("error: ") and "injected write failure" in err
+    assert os.listdir(out) == []
 
 
 def _src_env():

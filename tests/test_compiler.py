@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -236,14 +238,20 @@ def test_header_renders_the_stored_fields(compiled, tmp_path):
     _assert_header_renders_fields(compile(circuit, params), tmp_path / "m2")
 
 
-@pytest.mark.parametrize("rows", ["one", "non-divisor", "all"])
+@pytest.mark.parametrize("rows", ["one", "non-divisor", "odd", "all",
+                                  "past-end"])
 def test_streamed_save_matches_compiled_save(compiled, mixed_circuit,
                                              tmp_path, monkeypatch, rows):
     # the mixed circuit has z, x, adjacent and distant entangling gates, so
-    # its windows include the routed swaps; blocks of one row and of 997
-    # rows end inside gate windows, and nt rows make one block per field
+    # its windows include the routed swaps; blocks of one row, of 997 rows
+    # and of a third of the rows end inside gate windows.  Blocks are dealt
+    # to two workers in turn: with an odd block count per field one worker
+    # takes one more of J1's blocks and the other one more of J2's, and
+    # with one block per field ("all", and "past-end", where the block is
+    # longer than the field) the second worker idles through J1
     nt, nx = compiled.j1.shape
-    block = {"one": 1, "non-divisor": 997, "all": nt}[rows]
+    block = {"one": 1, "non-divisor": 997, "odd": nt // 3 + 1, "all": nt,
+             "past-end": nt + 1}[rows]
     t = compiled.t
     gate_rows = [np.searchsorted(t, (w.t_start, w.t_end))
                  for w in compiled.windows if w.label.startswith("gate:")]
@@ -251,13 +259,88 @@ def test_streamed_save_matches_compiled_save(compiled, mixed_circuit,
         assert block == 1 or nt % block
         assert any(r0 < edge < r1 for edge in range(block, nt, block)
                    for r0, r1 in gate_rows)
-    monkeypatch.setattr(compiler, "FILE_BLOCK_VALUES", block * nx)
+    if rows == "odd":
+        assert -(-nt // block) == 3
+    # each worker's block is FILE_BLOCK_VALUES // 2 samples
+    monkeypatch.setattr(compiler, "FILE_BLOCK_VALUES", 2 * block * nx)
     compiled.save(tmp_path / "dense")
     compiler.save(schedule(mixed_circuit, FAST, ScalingConfig()),
                   tmp_path / "streamed", "fields")
     for name in ("fields.json", "fields.bin"):
         assert ((tmp_path / "streamed" / name).read_bytes()
                 == (tmp_path / "dense" / name).read_bytes())
+
+
+def _wrap_fills(monkeypatch, wrap):
+    """Make compiler.save fill through wrap(field_index, fill)."""
+    fillers = compiler._fillers
+    monkeypatch.setattr(compiler, "_fillers", lambda plan: tuple(
+        wrap(k, fill) for k, fill in enumerate(fillers(plan))))
+
+
+def test_save_fills_blocks_on_two_threads(compiled, mixed_circuit, tmp_path,
+                                          monkeypatch):
+    # a return to one thread would still write the right bytes; with the
+    # interpreter switching threads every microsecond the two workers
+    # interleave within blocks, and the bytes must not change
+    threads = set()
+
+    def wrap(k, fill):
+        def recorded(lo, hi, out):
+            threads.add(threading.get_ident())
+            return fill(lo, hi, out)
+        return recorded
+
+    _wrap_fills(monkeypatch, wrap)
+    plan = schedule(mixed_circuit, FAST, ScalingConfig())
+    monkeypatch.setattr(compiler, "FILE_BLOCK_VALUES", 2 * 100 * plan.x.size)
+    compiled.save(tmp_path / "dense")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        compiler.save(plan, tmp_path / "streamed", "fields")
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(threads) == 2
+    for name in ("fields.json", "fields.bin"):
+        assert ((tmp_path / "streamed" / name).read_bytes()
+                == (tmp_path / "dense" / name).read_bytes())
+
+
+class _InjectedError(Exception):
+    pass
+
+
+def test_failed_save_leaves_no_field_file(compiled, mixed_circuit, tmp_path,
+                                          monkeypatch):
+    # J1's second block is the second worker's; a field file saved earlier
+    # in the same directory must not sit beside the payload being written,
+    # nor survive beside a partial one
+    nx = compiled.x.size
+    monkeypatch.setattr(compiler, "FILE_BLOCK_VALUES", 2 * 500 * nx)
+    compiled.save(tmp_path)
+    raised_on = []
+
+    def wrap(k, fill):
+        def failing(lo, hi, out):
+            assert not os.path.exists(tmp_path / "fields.json")
+            if k == 0 and lo == 500:
+                raised_on.append(threading.get_ident())
+                raise _InjectedError("injected")
+            return fill(lo, hi, out)
+        return failing
+
+    _wrap_fills(monkeypatch, wrap)
+    threads = threading.active_count()
+    with pytest.raises(_InjectedError):
+        compiler.save(schedule(mixed_circuit, FAST, ScalingConfig()),
+                      tmp_path, "fields")
+    assert raised_on and raised_on[0] != threading.get_ident()
+    assert threading.active_count() == threads
+    assert not os.path.exists(tmp_path / "fields.json")
+    assert not os.path.exists(tmp_path / "fields.bin")
+    with pytest.raises(OSError):
+        CompiledFields.load(tmp_path)
 
 
 def test_routing_happens_inside_compile(compiled, mixed_circuit):
