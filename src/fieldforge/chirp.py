@@ -193,15 +193,15 @@ def _in_band_or_tail_bound(bt, what):
     wm = abs(0.5 - w)
     wp = 0.5 + w
     # cos(omega T) maximizing each coefficient separately
-    c3 = (64.0 / (np.pi * d ** 6)) * (1.0 + 60.0 * w ** 2 + 240.0 * w ** 4
-                                      + 64.0 * w ** 6 + abs(d ** 3))
-    c2 = (128.0 / (np.pi * abs(d) ** 3)) * w
-    c1 = (4.0 / (np.pi * d ** 2)) * (1.0 + 4.0 * w ** 2 + abs(d))
+    c3 = (64.0 / (math.pi * d ** 6)) * (1.0 + 60.0 * w ** 2 + 240.0 * w ** 4
+                                        + 64.0 * w ** 6 + abs(d ** 3))
+    c2 = (128.0 / (math.pi * abs(d) ** 3)) * w
+    c1 = (4.0 / (math.pi * d ** 2)) * (1.0 + 4.0 * w ** 2 + abs(d))
     total = c3 / bt ** 3 + c2 / bt ** 2 + c1 / bt
     if w < 0.5:  # in-band rows
-        c32 = (1.0 / np.sqrt(np.pi)) * (2.0 / wm ** 3 + 2.0 / wp ** 3)
-        c12 = (1.0 / np.sqrt(np.pi)) * (2.0 / wm + 2.0 / wp)
-        total += c32 / bt ** 1.5 + c12 / np.sqrt(bt) + 1.0
+        c32 = (1.0 / math.sqrt(math.pi)) * (2.0 / wm ** 3 + 2.0 / wp ** 3)
+        c12 = (1.0 / math.sqrt(math.pi)) * (2.0 / wm + 2.0 / wp)
+        total += c32 / bt ** 1.5 + c12 / math.sqrt(bt) + 1.0
     return total
 
 
@@ -215,17 +215,18 @@ def _transition_bound(bt, what):
     w = what
     wm = abs(0.5 - w)
     wp = 0.5 + w
-    a_pi = np.sqrt(bt / np.pi) * wm
-    a_2 = np.sqrt(bt / 2.0) * wm
-    c3 = 32.0 / (np.pi * (1.0 + 2.0 * w) ** 6)
-    c32 = (1.0 / (6.0 * np.sqrt(np.pi) * wp ** 3)) * (
-        3.0 * (1.0 + 2.0 * a_pi) + (3.0 + np.pi * a_pi ** 3))
-    c1 = 32.0 / (np.pi * (1.0 + 2.0 * w) ** 2)
-    c12 = (1.0 / (6.0 * np.sqrt(np.pi) * wp)) * (
-        3.0 * (1.0 + 2.0 * a_2) + (3.0 + np.pi * a_2 ** 3))
-    c0 = 0.25 + (np.sqrt(bt) * wm / (2.0 * np.sqrt(np.pi))) * (1.0 + a_pi) \
-        + (np.pi / 72.0) * a_pi ** 3 * (6.0 + np.pi * a_pi ** 3)
-    return c0 + c12 / np.sqrt(bt) + c1 / bt + c32 / bt ** 1.5 + c3 / bt ** 3
+    a_pi = math.sqrt(bt / math.pi) * wm
+    a_2 = math.sqrt(bt / 2.0) * wm
+    c3 = 32.0 / (math.pi * (1.0 + 2.0 * w) ** 6)
+    c32 = (1.0 / (6.0 * math.sqrt(math.pi) * wp ** 3)) * (
+        3.0 * (1.0 + 2.0 * a_pi) + (3.0 + math.pi * a_pi ** 3))
+    c1 = 32.0 / (math.pi * (1.0 + 2.0 * w) ** 2)
+    c12 = (1.0 / (6.0 * math.sqrt(math.pi) * wp)) * (
+        3.0 * (1.0 + 2.0 * a_2) + (3.0 + math.pi * a_2 ** 3))
+    c0 = 0.25 \
+        + (math.sqrt(bt) * wm / (2.0 * math.sqrt(math.pi))) * (1.0 + a_pi) \
+        + (math.pi / 72.0) * a_pi ** 3 * (6.0 + math.pi * a_pi ** 3)
+    return c0 + c12 / math.sqrt(bt) + c1 / bt + c32 / bt ** 1.5 + c3 / bt ** 3
 
 
 def region_bound(source: ChirpSource, omega):
@@ -237,26 +238,29 @@ def region_bound(source: ChirpSource, omega):
     mirror of in_band; anything between is ambiguous and gets the max of
     the two adjacent bounds.
     """
-    b = source.B
-    bt = b * source.T
     if source.kappa == 0.0:
         raise ZeroChirp("kappa = 0 has no chirp band")
-    w = abs(float(omega)) / b
-    margin = np.sqrt(np.pi / bt)
+    # built-in floats throughout: numpy scalar arithmetic costs several
+    # times more per operation, and this runs once per frequency
+    omega = float(omega)
+    b = float(source.B)
+    bt = b * float(source.T)
+    w = abs(omega) / b
+    margin = math.sqrt(math.pi / bt)
     wminus = 0.5 - w
 
     if wminus >= 3.0 * margin:
         return SpectrumRegionBound("in_band", _in_band_or_tail_bound(bt, w),
-                                   float(omega), margin)
+                                   omega, margin)
     if wminus <= -3.0 * margin:
         return SpectrumRegionBound("tail", _in_band_or_tail_bound(bt, w),
-                                   float(omega), margin)
+                                   omega, margin)
     if abs(wminus) <= margin / 3.0:
         return SpectrumRegionBound("transition", _transition_bound(bt, w),
-                                   float(omega), margin)
+                                   omega, margin)
     # between margins
     trans = _transition_bound(bt, w)
     other = _in_band_or_tail_bound(bt, w)
     region = "in_band" if wminus > 0 else "tail"
-    return SpectrumRegionBound(region, max(trans, other), float(omega), margin,
+    return SpectrumRegionBound(region, max(trans, other), omega, margin,
                                ambiguous=True)

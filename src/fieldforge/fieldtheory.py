@@ -142,6 +142,11 @@ def creation_probabilities(overlaps, basis: ModeBasis, poisson_consistent=False,
     overlaps = np.asarray(overlaps, dtype=complex)
     if overlaps.shape != basis.omegas.shape:
         raise DimensionMismatch("one overlap per mode required")
+    if not np.isfinite(overlaps).all():
+        raise ValidationError("overlaps must be finite")
+    n_max = _count(n_max, "n_max")
+    if n_max < 0:
+        raise ValidationError(f"need n_max >= 0, got {n_max}")
     nbar = np.abs(overlaps) ** 2 / (2.0 * basis.omegas)
     p0 = float(np.exp(-np.sum(nbar)))
     if poisson_consistent:
@@ -336,20 +341,38 @@ def nr_hamiltonian_terms(grid: Grid, j2, m, lam, n_particles=1,
 
 @dataclass
 class ProbeReport:
+    """The probe's three numbers, with A and B rebuilt on demand.
+
+    mean, variance and shift are computed by local_energy_probe.  The
+    report keeps the basis and its own copy of the window values, so the
+    dense (n, n) forms a_matrix (normal-ordered a†a coefficients) and
+    b_matrix (a†a† coefficients) are recomputed on each read and are
+    not held between reads.
+    """
     mean: float
     variance: float
     shift: float
-    a_matrix: np.ndarray   # normal-ordered a†a coefficients
-    b_matrix: np.ndarray   # a†a† coefficients
     spacing: float
+    basis: ModeBasis
+    _window: np.ndarray
+
+    @property
+    def a_matrix(self):
+        q = _probe_gram(self.basis, self._window)
+        return _a_form(q, self.basis.omegas)
+
+    @property
+    def b_matrix(self):
+        q = _probe_gram(self.basis, self._window)
+        return _b_form(q, self.basis.omegas)
 
 
 def _signed_gram(v, weights, w):
     """(v diag(weights) v^T)_lm / sqrt(w_l w_m) for mode rows v, as
     U+ U+^T - U- U-^T over the columns of positive and negative weight.
 
-    U is as wide as the window; it is freed on return, before the probe
-    allocates A and B.
+    U is as wide as the window; it is freed on return, so the gram is
+    the only (n, n) array its callers hold.
     """
     u = v * np.sqrt(np.abs(weights))
     u /= np.sqrt(w)[:, None]
@@ -362,6 +385,39 @@ def _signed_gram(v, weights, w):
     if negative.any():
         un = u[:, negative]
         q -= un @ un.T
+    return q
+
+
+def _probe_gram(basis: ModeBasis, fvals):
+    """S = W^(-1/2) Qt W^(-1/2) for the window values fvals on basis.grid.
+
+    sum_x a f H(x) is the lattice sum of the continuum forms, so Qt is
+    the dx-weighted overlap of the int psi^2 dx = 1 mode rows; the points
+    where f is exactly zero add nothing, so the product runs over the
+    span of its nonzero values only (none: an empty span, S = 0).
+    """
+    inner = fvals[1:-1]
+    nonzero = np.flatnonzero(inner)
+    lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
+    return _signed_gram(basis.psis[:, 1 + lo:1 + hi],
+                        inner[lo:hi] * basis.grid.dx, basis.omegas)
+
+
+def _a_form(q, w):
+    """A_lm = S_lm ((w_l + w_m)/2)^2, written over q."""
+    half = w / 2.0
+    factor = np.add.outer(half, half)
+    factor *= factor
+    q *= factor
+    return q
+
+
+def _b_form(q, w):
+    """B_lm = S_lm ((w_l - w_m)/sqrt(8))^2, written over q."""
+    scaled = w / np.sqrt(8.0)
+    factor = np.subtract.outer(scaled, scaled)
+    factor *= factor
+    q *= factor
     return q
 
 
@@ -398,32 +454,28 @@ def local_energy_probe(f, basis: ModeBasis):
 
         A_lm = S_lm ((w_l + w_m)/2)^2,   B_lm = S_lm ((w_l - w_m)/sqrt(8))^2,
 
-    so A and B are exactly symmetric.
+    so A and B are exactly symmetric.  The mean and shift need only A's
+    diagonal, w_l^2 S_ll; S then becomes B in place for the variance and
+    is dropped, so no (n, n) array outlives the call.  The report keeps
+    the basis and a copy of f, and rebuilds A or B when one is read.
     """
     grid = basis.grid
-    fvals = np.asarray(f(grid.x) if callable(f) else f, dtype=float)
+    values = f(grid.x) if callable(f) else f
+    try:
+        fvals = np.array(values, dtype=float)   # the report's own copy
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"envelope must be numeric, got {values!r}") from None
     if fvals.shape != grid.x.shape:
         raise DimensionMismatch("envelope shape mismatch")
     if not np.isfinite(fvals).all():
         raise ValidationError("envelope must be finite")
-    # sum_x a f H(x) is the lattice sum of the continuum forms, so
-    # Qt is the dx-weighted overlap of the int psi^2 dx = 1 mode rows; the
-    # points where f is exactly zero add nothing, so the product runs over
-    # the span of its nonzero values only (none: an empty span, Qt = 0)
-    inner = fvals[1:-1]
-    nonzero = np.flatnonzero(inner)
-    lo, hi = (nonzero[0], nonzero[-1] + 1) if nonzero.size else (0, 0)
     w = basis.omegas
-    q = _signed_gram(basis.psis[:, 1 + lo:1 + hi], inner[lo:hi] * grid.dx, w)
-    half = w / 2.0
-    a_mat = np.add.outer(half, half)
-    a_mat *= a_mat
-    a_mat *= q
-    scaled = w / np.sqrt(8.0)
-    b_mat = np.subtract.outer(scaled, scaled)
-    b_mat *= b_mat
-    b_mat *= q
-    mean = float(0.5 * np.trace(a_mat))
+    q = _probe_gram(basis, fvals)
+    # A_ll = S_ll ((w_l + w_l)/2)^2, the same bits as the full form's diagonal
+    a_diag = w * w * np.diagonal(q)
+    mean = float(0.5 * np.sum(a_diag))
+    shift = float(a_diag[0])
+    b_mat = _b_form(q, w)
     variance = float(2.0 * np.vdot(b_mat, b_mat))
-    shift = float(a_mat[0, 0])
-    return ProbeReport(mean, variance, shift, a_mat, b_mat, float(grid.dx))
+    return ProbeReport(mean, variance, shift, float(grid.dx), basis, fvals)

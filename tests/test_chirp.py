@@ -128,6 +128,16 @@ def test_region_classification():
     assert mid.ambiguous and mid.region == "tail"
 
 
+def test_region_bound_on_builtin_floats():
+    src = ChirpSource(omega0=80.0, kappa=0.01, T=1000.0)
+    for frac in (0.2, 0.503, 0.52, 0.7):
+        off = np.float64(frac * src.B)
+        got = region_bound(src, off)
+        same = region_bound(src, float(off))
+        assert type(got.bound) is float and type(got.margin) is float
+        assert got == same and got.bound.hex() == same.bound.hex()
+
+
 @pytest.mark.parametrize("B,T", [(5.0, 20.0), (10.0, 1000.0)])
 def test_component_power_below_region_bound(B, T):
     src = ChirpSource(omega0=8.0 * B, kappa=B / T, T=T)

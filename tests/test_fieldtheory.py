@@ -253,6 +253,20 @@ def test_overlaps_shape_validation(free_basis):
         creation_probabilities(np.zeros(2), free_basis)
 
 
+def test_creation_probabilities_validation(free_basis):
+    overlaps = np.full(len(free_basis.omegas), 0.3 + 0.1j)
+    for bad in (-1, 2.5, "4", np.nan):
+        with pytest.raises(ValidationError):
+            creation_probabilities(overlaps, free_basis, n_max=bad)
+    assert creation_probabilities(overlaps, free_basis,
+                                  n_max=0).poisson_table.shape == (6, 1)
+    for bad in (np.nan, np.inf, complex(0.0, -np.inf)):
+        broken = overlaps.copy()
+        broken[3] = bad
+        with pytest.raises(ValidationError):
+            creation_probabilities(broken, free_basis)
+
+
 def test_rabi_frequency_self_overlap(well_basis):
     h = SourceProfile(well_basis.psis[0], well_basis.grid)
     got = rabi_frequency(0.37, h, well_basis)
@@ -506,6 +520,8 @@ def test_probe_callable_and_array_agree(probe_basis):
 def test_probe_validation(probe_basis):
     with pytest.raises(DimensionMismatch):
         local_energy_probe(np.ones(10), probe_basis)
+    with pytest.raises(ValidationError):
+        local_energy_probe("abc", probe_basis)
     for bad in (np.nan, np.inf, -np.inf):
         f = np.ones(probe_basis.grid.n)
         f[probe_basis.grid.n // 2] = bad
@@ -566,3 +582,27 @@ def test_probe_matches_two_product_formula(window, n_continuum):
     assert report.shift == pytest.approx(a_ref[0, 0], rel=1e-12)
     if window == "zero":
         assert not report.a_matrix.any() and not report.b_matrix.any()
+    # the three numbers are the rebuilt forms' own, to the bit
+    b_mat = report.b_matrix
+    assert report.variance == 2.0 * np.vdot(b_mat, b_mat)
+    assert report.mean == 0.5 * np.trace(report.a_matrix)
+    assert report.shift == report.a_matrix[0, 0]
+
+
+def test_probe_holds_no_dense_form():
+    grid = Grid.symmetric(20.0, 602)
+    basis = mode_decomposition(square_well(grid.x), 1.0, grid,
+                               n_continuum=None)
+    n = len(basis.omegas)
+    f = np.exp(-grid.x ** 2 / (2.0 * 6.0 ** 2))   # nonzero on every point
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = local_energy_probe(f, basis)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the gram and one factor at a time while it runs, the window after
+    assert peak - before < 2.5 * n * n * 8
+    assert held - before < 0.05 * n * n * 8
+    assert report.variance > 0.0
