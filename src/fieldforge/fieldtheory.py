@@ -33,13 +33,16 @@ class ModeBasis:
     grid: Grid
 
     def overlap_matrix(self):
-        dx = self.grid.dx
-        return self.psis @ self.psis.T * dx
+        """The gram matrix int psi_l psi_m dx, scaled in place."""
+        g = self.psis @ self.psis.T
+        g *= self.grid.dx
+        return g
 
     def check_orthonormality(self):
+        """max |G - I| <= ORTHONORMALITY_TOL, with G the only (n, n) array."""
         g = self.overlap_matrix()
-        return (float(np.max(np.abs(g - np.eye(len(self.omegas)))))
-                <= ORTHONORMALITY_TOL)
+        g[np.diag_indices_from(g)] -= 1.0
+        return float(np.max(np.abs(g, out=g))) <= ORTHONORMALITY_TOL
 
 
 def mode_decomposition(j2, m, grid: Grid, n_continuum=0):
@@ -89,8 +92,13 @@ def mode_decomposition(j2, m, grid: Grid, n_continuum=0):
         raise ValidationError("more modes requested than grid supports")
     if w2_modes[0] <= 0.0:
         raise UnstableVacuum(f"mode with omega^2 = {w2_modes[0]}")
+    # scaled in place and dropped once copied, so at most two (n, n)
+    # arrays are alive at a time
+    kept = vecs[:, :n_keep]
+    kept /= np.sqrt(dx)
     psis = np.zeros((n_keep, grid.n))
-    psis[:, 1:-1] = (vecs[:, :n_keep] / np.sqrt(dx)).T
+    psis[:, 1:-1] = kept.T
+    del vecs, kept
     _fix_signs(psis)
     return ModeBasis(np.sqrt(w2_modes[:n_keep]), psis, n_bound, float(m), j2, grid)
 
@@ -227,18 +235,32 @@ def _attractive_kernel(r, m):
     |Im u| < pi/2, so the trapezoid rule in u converges geometrically in
     1/KERNEL_STEP; the sum stops at |u| = 40, where sech u < 1e-17.
     Against a 30-digit mpmath value it is within 3e-15 relative for
-    2 m r <= 48 and 4e-13 up to 60.  The nodes are summed one at a time,
-    so the extra memory is two arrays the size of r.
+    2 m r <= 48 and 4e-13 up to 60.
+
+    The nodes are summed one at a time over r sorted ascending.  A term
+    with -2 m r cosh u below -746 is exactly 0 (exp underflows below about
+    -745.13), so node u adds only to the prefix of sorted r where
+    2 m r <= 746/cosh u, and the sum has the bits of the full one.  The
+    extra memory is a few arrays the size of r, of any shape; a 0-d r
+    gives a 0-d result.
     """
-    a = -2.0 * m * np.asarray(r, dtype=float)
-    tail = np.zeros_like(a)
-    term = np.empty_like(a)
-    for c in _KERNEL_COSH:
-        np.multiply(a, c, out=term)
-        np.exp(term, out=term)
-        term /= c
-        tail += term
-    return KERNEL_STEP * (np.exp(a) + 2.0 * tail)
+    x = 2.0 * m * np.asarray(r, dtype=float)
+    order = np.argsort(x, axis=None)
+    x_sorted = x.ravel()[order]
+    # node k adds to the first counts[k] entries of x_sorted
+    counts = np.searchsorted(x_sorted, 746.0 / _KERNEL_COSH, side="right")
+    a_sorted = -x_sorted
+    tail_sorted = np.zeros_like(a_sorted)
+    term = np.empty_like(a_sorted)
+    for c, k in zip(_KERNEL_COSH, counts):
+        t = term[:k]
+        np.multiply(a_sorted[:k], c, out=t)
+        np.exp(t, out=t)
+        t /= c
+        tail_sorted[:k] += t
+    tail = np.empty_like(tail_sorted)
+    tail[order] = tail_sorted
+    return KERNEL_STEP * (np.exp(-x) + 2.0 * tail.reshape(x.shape))
 
 
 def effective_potential(r, m, lam):

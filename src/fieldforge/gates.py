@@ -379,28 +379,41 @@ def coefficients_from_wells(trajectory: WellPairTrajectory, lam, m):
     the residual tunneling at the parked separation.
 
     The schedule has WELL_SAMPLES samples, each solved on a WELL_GRID-point
-    grid reaching 9 well widths past the parked wells.
+    grid reaching 9 well widths past the parked wells.  The schedule is
+    symmetric in time, so only the first (WELL_SAMPLES + 1) // 2 samples
+    are solved and the rest are their mirror images, with the same bits:
+    one reference solve and 9 well-pair solves.  The attractive kernel's
+    Toeplitz product is a circulant FFT product whose kernel spectrum is
+    computed once per call.
     """
     t = trajectory
     grid = Grid.symmetric(t.ell_max / 2.0 + 9.0 * t.width, WELL_GRID)
     x = grid.x
     dx = grid.dx
 
-    # attractive pair kernel sampled on the relative-coordinate lattice,
-    # reused across schedule samples
+    # attractive pair kernel sampled on the relative-coordinate lattice;
+    # the symmetric Toeplitz matrix it spans, embedded in a circulant of
+    # length 2 WELL_GRID - 1 (as scipy.linalg.matmul_toeplitz does), has
+    # this spectrum at every schedule sample
     contact, v_attr = effective_potential(np.arange(WELL_GRID) * dx, m, lam)
-    from scipy.linalg import matmul_toeplitz
+    n_fft = 2 * WELL_GRID - 1
+    kernel_spectrum = np.fft.rfft(np.concatenate((v_attr, v_attr[-1:0:-1])))
 
     # singly-occupied reference: one isolated well
     iso = Tabulated(x, -t.depth * _gaussian(x, 0.0, t.width), units=natural(m))
     e_iso = solve_bound_states(iso, grid=grid, max_states=1,
                                tail_tol=1e-5).energies[0]
 
+    # s_i = i/(WELL_SAMPLES - 1) is dyadic for WELL_SAMPLES = 17, so
+    # 1 - s_i is exact and equals s_(16-i); gevrey_bump takes s (1 - s),
+    # which commutes, so the separation, the potential, the solve and
+    # b, c, d are the same bits at s and 1 - s
     s_samples = np.linspace(0.0, 1.0, WELL_SAMPLES)
+    half = (WELL_SAMPLES + 1) // 2
     b_arr = np.empty(WELL_SAMPLES)
     c_arr = np.empty(WELL_SAMPLES)
     d_arr = np.empty(WELL_SAMPLES)
-    for i, s in enumerate(s_samples):
+    for i, s in enumerate(s_samples[:half]):
         ell = t.separation(s)
         pot = Tabulated(x, _well_pair_potential(x, ell, t.depth, t.width),
                         units=natural(m))
@@ -422,11 +435,14 @@ def coefficients_from_wells(trajectory: WellPairTrajectory, lam, m):
         pair_contact = contact * np.trapezoid(rho_l * rho_r, x)
         # double integral of the attractive kernel; plain dx^2 Riemann is
         # enough since the densities vanish at the walls
-        pair_attr = dx ** 2 * float(
-            rho_l @ matmul_toeplitz((v_attr, v_attr), rho_r))
+        v_rho_r = np.fft.irfft(kernel_spectrum * np.fft.rfft(rho_r, n=n_fft),
+                               n=n_fft)[:WELL_GRID]
+        pair_attr = dx ** 2 * float(rho_l @ v_rho_r)
         e_bar = (e_sym + e_anti) / 2.0
         c_arr[i] = pair_contact + pair_attr + (e_bar - e_iso)
         d_arr[i] = e_iso - e_bar
+    for arr in (b_arr, c_arr, d_arr):
+        arr[half:] = arr[half - 2::-1]
 
     return TwoQubitSchedule(s_samples, b_arr, c_arr, d_arr, tau=t.tau,
                             endpoint_tol=1e-2)

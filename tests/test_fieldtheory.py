@@ -17,6 +17,9 @@ from fieldforge.errors import (
 )
 from fieldforge.compiler import CompileParams
 from fieldforge.fieldtheory import (
+    KERNEL_NODES,
+    KERNEL_STEP,
+    ORTHONORMALITY_TOL,
     ModeBasis,
     SourceHistory,
     SourceProfile,
@@ -32,6 +35,7 @@ from fieldforge.fieldtheory import (
 )
 from fieldforge.gates import WELL_GRID
 from fieldforge.potentials import Grid
+from fieldforge.schrodinger import _fix_signs
 
 
 def square_well(x, depth=0.45, half_width=1.5):
@@ -80,6 +84,52 @@ def test_orthonormality_flag_detects_tampering(free_basis):
                     free_basis.n_bound, free_basis.m, free_basis.j2,
                     free_basis.grid)
     assert not bad.check_orthonormality()
+
+
+@pytest.fixture(scope="module")
+def full_basis():
+    grid = Grid.symmetric(20.0, 602)
+    return mode_decomposition(square_well(grid.x), 1.0, grid,
+                              n_continuum=None)
+
+
+def test_mode_decomposition_memory(full_basis):
+    grid = full_basis.grid
+    n = len(full_basis.omegas)
+    tracemalloc.start()
+    try:
+        basis = mode_decomposition(full_basis.j2, 1.0, grid, n_continuum=None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the eigenvectors scale in place and are dropped once copied:
+    # about 2.5 (n, n) arrays at the peak, 3.5 for an out-of-place scale
+    assert peak < 3.0 * n * n * 8
+    diag = 2.0 / grid.dx ** 2 + (1.0 + 2.0 * basis.j2[1:-1])   # m = 1
+    w2, vecs = eigh_tridiagonal(diag, -np.ones(n - 1) / grid.dx ** 2,
+                                lapack_driver="stevd")
+    want = np.zeros((n, grid.n))
+    want[:, 1:-1] = (vecs / np.sqrt(grid.dx)).T
+    _fix_signs(want)
+    assert basis.psis.tobytes() == want.tobytes()
+    assert basis.omegas.tobytes() == np.sqrt(w2).tobytes()
+
+
+def test_overlap_checks_hold_one_gram(full_basis):
+    n = len(full_basis.omegas)
+    g = full_basis.psis @ full_basis.psis.T * full_basis.grid.dx
+    for name in ("overlap_matrix", "check_orthonormality"):
+        tracemalloc.start()
+        try:
+            out = getattr(full_basis, name)()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the gram is scaled, shifted and made absolute in place: one
+        # (n, n) array, three for out-of-place forms
+        assert peak < 1.5 * n * n * 8, name
+    assert full_basis.overlap_matrix().tobytes() == g.tobytes()
+    assert out is bool(np.max(np.abs(g - np.eye(n))) <= ORTHONORMALITY_TOL)
 
 
 def test_bound_mode_matches_shooting_route():
@@ -401,6 +451,29 @@ def test_effective_potential_shapes_and_memory():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+def full_node_kernel(r, m):
+    """_attractive_kernel's trapezoid sum over all KERNEL_NODES nodes."""
+    a = -2.0 * m * np.asarray(r, dtype=float)
+    tail = np.zeros_like(a)
+    for c in np.cosh(KERNEL_STEP * np.arange(1, KERNEL_NODES + 1)):
+        tail += np.exp(a * c) / c
+    return KERNEL_STEP * (np.exp(a) + 2.0 * tail)
+
+
+@pytest.mark.parametrize("m", [0.5, 1.0, 2.0])
+def test_attractive_kernel_skips_only_underflow(m):
+    # the skipped terms are exact zeros, so every order and shape of r
+    # gives the full sum's bits
+    r = np.linspace(0.0, 60.0 / m, 701)
+    shuffled = np.random.default_rng(7).permutation(r)[:700].reshape(7, 100)
+    for rs in (r, r[::-1], shuffled, np.array([0.0, 5.0, 0.0]),
+               np.float64(0.0), np.float64(0.3 / m), 60.0 / m):
+        got = _attractive_kernel(rs, m)
+        want = full_node_kernel(rs, m)
+        assert got.shape == np.shape(rs)
+        assert got.tobytes() == want.tobytes(), rs
 
 
 def test_nr_single_particle_free_spectrum():

@@ -10,8 +10,10 @@ from scipy.integrate import solve_ivp
 from fieldforge.adiabatic import bump_integral, gevrey_bump
 from fieldforge.errors import (DimensionMismatch, NoClosure,
                                SolvabilityViolated, ValidationError)
-from fieldforge.gates import (BASIS_LABELS, TwoQubitSchedule,
-                              WellPairTrajectory, calibrate_entangling,
+from fieldforge.fieldtheory import effective_potential
+from fieldforge.gates import (BASIS_LABELS, WELL_GRID, WELL_SAMPLES,
+                              TwoQubitSchedule, WellPairTrajectory,
+                              calibrate_entangling,
                               calibrate_x_gate, calibrate_z_gate,
                               coefficients_from_wells, entangling_check,
                               extract_logical, gate_infidelity,
@@ -263,6 +265,76 @@ def test_well_pair_coefficients():
     weak = coefficients_from_wells(traj, lam=1e-3, m=1.0)
     ratio = np.max(np.abs(sched.c + sched.d)) / np.max(np.abs(weak.c + weak.d))
     assert ratio == pytest.approx(100.0, rel=0.05)
+
+
+def _pair_coefficients(traj, lam, m, samples, attr_product):
+    """b, c, d solved directly at each schedule index in samples.
+
+    attr_product(v_attr, rho) is the symmetric Toeplitz product of the
+    attractive kernel with a density.
+    """
+    grid = Grid.symmetric(traj.ell_max / 2.0 + 9.0 * traj.width, WELL_GRID)
+    x, dx = grid.x, grid.dx
+    contact, v_attr = effective_potential(np.arange(WELL_GRID) * dx, m, lam)
+    iso = Tabulated(x, -traj.depth * np.exp(-x ** 2 / (2.0 * traj.width ** 2)),
+                    units=natural(m))
+    e_iso = solve_bound_states(iso, grid=grid, max_states=1,
+                               tail_tol=1e-5).energies[0]
+    s_all = np.linspace(0.0, 1.0, WELL_SAMPLES)
+    out = []
+    for i in samples:
+        ell = traj.separation(s_all[i])
+        v = -traj.depth * (
+            np.exp(-(x - ell / 2.0) ** 2 / (2.0 * traj.width ** 2))
+            + np.exp(-(x - -ell / 2.0) ** 2 / (2.0 * traj.width ** 2)))
+        states = solve_bound_states(Tabulated(x, v, units=natural(m)),
+                                    grid=grid, max_states=2, tail_tol=1e-5)
+        e_sym, e_anti = states.energies[:2]
+        psi_sym, psi_anti = states.wavefunctions[:2]
+        rho_l = ((psi_sym + psi_anti) / np.sqrt(2.0)) ** 2
+        rho_r = ((psi_sym - psi_anti) / np.sqrt(2.0)) ** 2
+        e_bar = (e_sym + e_anti) / 2.0
+        pair = (contact * np.trapezoid(rho_l * rho_r, x)
+                + dx ** 2 * float(rho_l @ attr_product(v_attr, rho_r)))
+        out.append(((e_anti - e_sym) / 2.0, pair + (e_bar - e_iso),
+                    e_iso - e_bar))
+    return np.array(out).T
+
+
+def _fft_product(v_attr, rho):
+    n_fft = 2 * WELL_GRID - 1
+    spectrum = np.fft.rfft(np.concatenate((v_attr, v_attr[-1:0:-1])))
+    return np.fft.irfft(spectrum * np.fft.rfft(rho, n=n_fft),
+                        n=n_fft)[:WELL_GRID]
+
+
+def test_well_schedule_mirror_is_exact():
+    # the mirrored half is only exact while 1 - s_i is the sample s_(n-1-i)
+    s = np.linspace(0.0, 1.0, WELL_SAMPLES)
+    assert np.array_equal(s[::-1], 1.0 - s)
+    traj = WellPairTrajectory(ell_max=8.0, ell_min=2.1, depth=4.5, width=0.7,
+                              tau=40.0)
+    sched = coefficients_from_wells(traj, lam=0.1, m=1.0)
+    mirrored = range((WELL_SAMPLES + 1) // 2, WELL_SAMPLES)
+    direct = _pair_coefficients(traj, 0.1, 1.0, mirrored, _fft_product)
+    for got, want in zip((sched.b, sched.c, sched.d), direct):
+        assert got[list(mirrored)].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("lam", [0.1, 2.0])
+def test_well_coefficients_match_full_schedule(lam):
+    from scipy.linalg import matmul_toeplitz
+
+    traj = WellPairTrajectory(ell_max=8.0, ell_min=2.1, depth=4.5, width=0.7,
+                              tau=40.0)
+    sched = coefficients_from_wells(traj, lam=lam, m=1.0)
+    b, c, d = _pair_coefficients(
+        traj, lam, 1.0, range(WELL_SAMPLES),
+        lambda v, rho: matmul_toeplitz((v, v), rho))
+    assert sched.b.tobytes() == b.tobytes()
+    assert sched.d.tobytes() == d.tobytes()
+    # numpy's and scipy's FFTs may round differently
+    np.testing.assert_allclose(sched.c, c, rtol=1e-14, atol=0.0)
 
 
 def test_splitting_decay_rate_matches_wkb():

@@ -61,3 +61,12 @@ def test_mode_decomposition_loads_linalg_only(tmp_path):
     assert "scipy.linalg" in loaded
     for name in ("scipy.integrate", "scipy.optimize", "scipy.sparse"):
         assert name not in loaded
+
+
+def test_native_entangling_phases_loads_no_fft(tmp_path):
+    script = ("from fieldforge.compiler import native_entangling_phases\n"
+              "native_entangling_phases()\n")
+    loaded = _scipy_loaded(script, tmp_path)
+    assert "scipy.linalg" in loaded
+    assert not any(m == "scipy.fft" or m.startswith("scipy.fft.")
+                   for m in loaded)
