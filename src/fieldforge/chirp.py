@@ -125,6 +125,8 @@ class ChirpSource:
             raise ValidationError("need finite T > 0")
         if not 0 <= self.kappa < math.inf:
             raise ValidationError("need finite kappa >= 0")
+        if not math.isfinite(self.B * self.T):
+            raise ValidationError("need a finite B T = kappa T^2")
         if not math.isfinite(self.omega0):
             raise ValidationError("need finite omega0")
         if self.amplitude is not None and not math.isfinite(self.amplitude):

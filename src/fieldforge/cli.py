@@ -254,8 +254,7 @@ def _cmd_compile(args):
     _emit({
         "out": out_dir, "files": files,
         "nt": plan.t.size, "nx": plan.x.size,
-        "t_total": plan.metadata["t_total"],
-        "extent": plan.metadata["extent"],
+        "t_total": float(plan.t[-1]), "extent": plan.resources.extent,
         "config_hash": plan.config_hash,
         "windows": [w.label for w in plan.windows],
         "resources": dataclasses.asdict(plan.resources),
@@ -417,7 +416,8 @@ def main(argv=None):
         if not 0 <= args.seed < 2 ** 64:
             raise ValidationError("seed must fit in u64")
         return args.func(args)
-    except (FieldForgeError, OSError, json.JSONDecodeError) as exc:
+    except (FieldForgeError, OSError, json.JSONDecodeError,
+            ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

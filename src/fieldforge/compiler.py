@@ -5,13 +5,14 @@ circuit, calibrates each gate and lays out the windows: a smooth turn-on
 of the double-well layout, one chirped J1 preparation pulse per qubit, one
 well-trajectory window per gate, the time-reversed preparation, and the
 turn-off.  It fixes the sample grids, checks them against the sample cap
-and returns a Schedule: the window records, the resources read off them,
-the resolved parameters and the metadata, with no field sampled.  The
-render step reads the Schedule and nothing else, so a field file's header
-is enough to rebuild its fields bit for bit.  It builds both fields from
-their separable factors in two passes: _fillers computes the factors once,
-each of length nt or nx, and returns one fill per field that writes any
-block of rows [lo, hi) into a caller's buffer.  Row i of J1 is
+and returns a Schedule: the grids, the qubit count, the window records,
+the resolved parameters, the scaling and their hash, each stated once and
+with no field sampled.  The render step reads the Schedule and nothing
+else, so a field file's header is enough to rebuild its fields bit for
+bit.  It builds both fields from their separable factors in two passes:
+_fillers computes the factors once, each of length nt or nx, and returns
+one fill per field that writes any block of rows [lo, hi) into a caller's
+buffer.  Row i of J1 is
 (pulse[i] - pulse[nt-1-i]) x S(x), with S the sum of the qubits'
 left-well Gaussians; on the linspace time grid T_total - t[i] equals
 t[nt-1-i] only to rounding, so the mirror is by row index.  Float
@@ -36,16 +37,17 @@ not two (nt, nx) grids, while writing the bytes CompiledFields.save writes.
 Gate windows carry the calibration records produced by the gates module,
 with the bump's calibrated duration and the logical gate beside them;
 simulate_schedule replays those records at the gate-model level rather
-than re-solving the field theory, and says so in its metadata.  It reads
-only the Schedule, so a replay needs no rendered field.
+than re-solving the field theory, and its SimulationReport says so.  It
+reads only the Schedule, so a replay needs no rendered field.
 
-The resources are read off the plan, not modelled beside it.  The prep
-window lasts the passage ladder's T / m = max(eps^-8, G^2) / m, so eps
-fixes it for G <= eps^-4, whatever n.  Each gate window lasts what its
-calibration asks for (tau_z for a Z rotation, the X parameter over m, the
-entangling trajectory's stretched tau), not 1/lambda^2.  The extent is
-affine in n, one block pitch per qubit, and the sample count is 2 nt nx,
-at 64 bits a sample.
+The resources are read off the plan, not modelled or stored beside it:
+Schedule.resources builds them from the windows, the grids and the scaling
+each time it is read.  The prep window lasts the passage ladder's T / m =
+max(eps^-8, G^2) / m, so eps fixes it for G <= eps^-4, whatever n.  Each
+gate window lasts what its calibration asks for (tau_z for a Z rotation,
+the X parameter over m, the entangling trajectory's stretched tau), not
+1/lambda^2.  The extent is affine in n, one block pitch per qubit, and the
+sample count is 2 nt nx, at 64 bits a sample.
 """
 
 import functools
@@ -75,7 +77,7 @@ from .gates import (
 from .passage import scale_parameters
 
 INTER_QUBIT_TUNNELING = 1e-10
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 CSV_BLOCK_VALUES = 1 << 12   # samples per save_csv write (about 300 kB of text)
 FILE_BLOCK_VALUES = 1 << 17  # two save workers' blocks, in samples (1 MB)
 
@@ -208,18 +210,33 @@ class ScheduleWindow:
 class Schedule:
     """A compiled schedule without its fields: what simulate_schedule reads.
 
-    The sample grids, the window records with their calibrations, the
-    resources, the resolved parameters and the metadata, which is
-    everything the field file's header holds.
+    The sample grids, the qubit count, the window records with their
+    calibrations, the resolved parameters, the scaling and the hash of the
+    last two: everything the field file's header holds, each fact once.
+    The total time is t[-1], and the resources are read off the rest.
     """
 
     t: np.ndarray             # (nt,); t[-1] - t[i] is t[nt-1-i] to rounding
     x: np.ndarray             # (nx,)
+    n_qubits: int
     windows: list
-    resources: ResourceEstimate
     params: dict
+    scaling: ScalingConfig
     config_hash: str
-    metadata: dict
+
+    @property
+    def resources(self):
+        """The ResourceEstimate read off the windows, grids and scaling."""
+        _, prep, *gates, _, _ = self.windows
+        gate_times = tuple(w.t_end - w.t_start for w in gates)
+        samples = 2 * self.t.size * self.x.size
+        return ResourceEstimate(
+            n_qubits=self.n_qubits, gate_count=len(gates),
+            lam=self.scaling.lambda_prefactor / max(len(gates), 1),
+            t_prep=prep.t_end - prep.t_start, gate_times=gate_times,
+            total_gate_time=sum(gate_times, 0.0),
+            extent=float(self.x[-1] - self.x[0]), samples=samples,
+            bit_count=64 * samples, config=asdict(self.scaling))
 
 
 @dataclass
@@ -286,11 +303,11 @@ class CompiledFields(Schedule):
         # linspace reconstruction is bit-exact against the writer's grids
         t = np.linspace(header["t0"], header["t1"], nt)
         x = np.linspace(header["x0"], header["x1"], nx)
-        windows = [ScheduleWindow(**w) for w in header["windows"]]
-        res = ResourceEstimate(**header["resources"])
-        return cls(t=t, x=x, j1=j1, j2=j2, windows=windows, resources=res,
-                   params=header["params"], config_hash=header["config_hash"],
-                   metadata=header["metadata"])
+        return cls(t=t, x=x, n_qubits=_count(header["n_qubits"], "n_qubits"),
+                   windows=[ScheduleWindow(**w) for w in header["windows"]],
+                   params=header["params"],
+                   scaling=ScalingConfig(**header["scaling"]),
+                   config_hash=header["config_hash"], j1=j1, j2=j2)
 
 
 def _write_field_file(plan, out_dir, basename, fills, buffered):
@@ -317,11 +334,11 @@ def _write_field_file(plan, out_dir, basename, fills, buffered):
         "units": "natural, mass m = 1 scale",
         "payload": basename + ".bin",
         "payload_order": ["j1", "j2"],
+        "n_qubits": plan.n_qubits,
         "windows": [asdict(w) for w in plan.windows],
-        "resources": asdict(plan.resources),
         "params": plan.params,
+        "scaling": asdict(plan.scaling),
         "config_hash": plan.config_hash,
-        "metadata": plan.metadata,
     }
     nt, nx = plan.t.size, plan.x.size
     rows = max(1, FILE_BLOCK_VALUES // 2 // nx)
@@ -465,10 +482,10 @@ def schedule(circuit: LogicalCircuit, params: CompileParams,
     """The schedule compile renders, without sampling either field.
 
     Routing, the gate calibrations, the window edges and records, the
-    grids, the sample-cap check and the resources read off them are all
-    here; nothing of size nt * nx is allocated.  Each gate window's record
-    is its calibration, the bump's calibrated duration and the logical
-    gate it realizes, so the Schedule alone fixes the rendered fields.
+    grids and the sample-cap check are all here; nothing of size nt * nx
+    is allocated.  Each gate window's record is its calibration, the
+    bump's calibrated duration and the logical gate it realizes, so the
+    Schedule alone fixes the rendered fields.
     """
     n = circuit.n_qubits
     m, depth, width, intra, tau_z = params.resolved()
@@ -496,11 +513,9 @@ def schedule(circuit: LogicalCircuit, params: CompileParams,
                              f"samples, cap is {config.sample_cap}")
 
     nn = insert_swaps(circuit)
-    g_count = len(nn.gates)
-    lam = config.lambda_prefactor / max(g_count, 1)
 
     # prep chirp per qubit, parameters from the passage scaling ladder
-    sp = scale_parameters(params.eps, G=max(g_count, 1))
+    sp = scale_parameters(params.eps, G=max(len(nn.gates), 1))
     t_prep = sp.T / omega0
     band = sp.B * omega0
 
@@ -581,23 +596,9 @@ def schedule(circuit: LogicalCircuit, params: CompileParams,
         "beta_x": params.beta_x, "lam_gate": params.lam_gate,
         "pitch": pitch, "inter_qubit_tunneling": tunneling,
     }
-    meta = {
-        "n_qubits": n, "gate_count": g_count,
-        "omega_max": omega_max, "xi": 1.0 / m,
-        "oversampling": config.oversampling,
-        "nyquist_dt": 2.0 * math.pi / (2.0 * omega_max),
-        "t_total": t_total, "extent": extent,
-    }
-    gate_times = tuple(np.diff(edges[2:-2]).tolist())
-    resources = ResourceEstimate(
-        n_qubits=n, gate_count=g_count, lam=lam,
-        t_prep=float(edges[2] - edges[1]), gate_times=gate_times,
-        total_gate_time=sum(gate_times, 0.0), extent=float(extent),
-        samples=samples, bit_count=64 * samples, config=asdict(config))
     return Schedule(
-        t=t, x=x, windows=windows, resources=resources,
-        params=params_record, config_hash=_config_hash(params_record, config),
-        metadata=meta)
+        t=t, x=x, n_qubits=n, windows=windows, params=params_record,
+        scaling=config, config_hash=_config_hash(params_record, config))
 
 
 def _fillers(plan: Schedule):
@@ -615,14 +616,14 @@ def _fillers(plan: Schedule):
     """
     t, x = plan.t, plan.x
     nt = t.size
-    t_total = plan.metadata["t_total"]
+    t_total = t[-1]  # linspace sets the endpoint exactly
     p = plan.params
     m, depth, width = p["m"], p["well_depth"], p["well_width"]
     first, prep, *gate_windows, _, last = plan.windows
     t_ramp = first.t_end
 
     # static layout: one double well per qubit, wells[q] = (left, right)
-    centers = np.arange(plan.metadata["n_qubits"]) * p["pitch"]
+    centers = np.arange(plan.n_qubits) * p["pitch"]
     wells = np.stack([centers - p["intra_spacing"] / 2.0,
                       centers + p["intra_spacing"] / 2.0], axis=1)
 
@@ -748,7 +749,7 @@ def simulate_schedule(sched: Schedule, model_level="gate_models"):
     """
     if model_level != "gate_models":
         raise ValidationError("only the gate_models level is implemented")
-    n = sched.metadata["n_qubits"]
+    n = sched.n_qubits
     lam = sched.resources.lam
     replayed = []
     total_infidelity = 0.0
@@ -800,7 +801,7 @@ def simulate_schedule(sched: Schedule, model_level="gate_models"):
 
 def infidelity_budget(report: SimulationReport, sched: Schedule):
     """The n * eps_prep + G * eps_gate bound implied by the report."""
-    n = sched.metadata["n_qubits"]
-    g = sched.metadata["gate_count"]
+    n = sched.n_qubits
+    g = sched.resources.gate_count
     return (n * 2.0 * report.metadata["eps_prep_bound"]
             + g * report.metadata["eps_gate_bound"])

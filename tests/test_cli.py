@@ -601,6 +601,37 @@ def test_nan_and_negative_inputs_exit_three(capsys, tmp_path, monkeypatch,
     assert "infidelity" not in err  # rejected before any calibration runs
 
 
+@pytest.mark.parametrize("argv,config", [
+    (["eigensolve", "--potential", "qes", "--g", "1e300"], None),
+    (["eigensolve", "--potential", "poschl-teller", "--alpha", "1e300"], None),
+    (["passage", "--eps", "1e-80"], None),
+    (["calibrate", "z", "--tau", "1e300", "--alpha0", "1e300"], None),
+    (["spectrum", "--omega0", "1", "--kappa", "1e-300", "--big-t", "10"],
+     None),
+    (["spectrum", "--omega0", "1", "--kappa", "1", "--big-t", "1e300"], None),
+    # lam ** 2 overflows in the pair potential; m ** 3 underflows to 0
+    (["calibrate", "entangling"], {"params": {"lam_gate": 1e200}}),
+    (["calibrate", "entangling"], {"params": {"m": 1e-120}}),
+    (["estimate-resources", "--circuit", "ent.json"],
+     {"params": {"m": 1e-120}}),
+], ids=["qes-g-huge", "pt-alpha-huge", "eps-tiny", "z-tau-alpha0-huge",
+        "kappa-tiny", "bt-overflow", "lam-gate-huge", "m-tiny",
+        "resources-m-tiny"])
+def test_extreme_finite_inputs_exit_three(capsys, tmp_path, monkeypatch,
+                                          argv, config):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ent.json").write_text(json.dumps(
+        {"n_qubits": 2, "gates": [{"kind": "entangling", "qubits": [0, 1]}]}))
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        argv = argv + ["--config", "config.json"]
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_integral_floats_load_as_integers(tmp_path):
     gates = [{"kind": "xrot", "qubits": [1], "angle": 0.3},
              {"kind": "entangling", "qubits": [0, 1], "alpha": 0.1, "beta": 0.2}]

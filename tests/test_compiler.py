@@ -108,7 +108,7 @@ def test_resources_read_off_the_schedule():
                 samples=samples, bit_count=64 * samples,
                 config=dataclasses.asdict(config))
             assert res.total_gate_time == pytest.approx(
-                sched.metadata["t_total"] - 2.0 * (ramp + res.t_prep),
+                sched.t[-1] - 2.0 * (ramp + res.t_prep),
                 rel=1e-12)
             preps.add(res.t_prep)
             extents[n] = res.extent
@@ -345,7 +345,7 @@ def test_failed_save_leaves_no_field_file(compiled, mixed_circuit, tmp_path,
 
 def test_routing_happens_inside_compile(compiled, mixed_circuit):
     assert compiled.resources.gate_count == 7
-    assert compiled.metadata["gate_count"] == 7
+    assert compiled.n_qubits == 3
     assert compiled.resources.lam == pytest.approx(1.0 / 7.0)
 
 
@@ -497,8 +497,9 @@ def test_save_csv_matches_row_loop(tmp_path, monkeypatch, block):
     # in j2, rows 9 and 10 differ only in one zero's sign
     j2[10] = j2[9]
     j2[9, 2], j2[10, 2] = 0.0, -0.0
-    fields = CompiledFields(t=t, x=x, j1=j1, j2=j2, windows=[], resources=None,
-                            params={}, config_hash="", metadata={})
+    fields = CompiledFields(t=t, x=x, n_qubits=1, windows=[], params={},
+                            scaling=ScalingConfig(), config_hash="",
+                            j1=j1, j2=j2)
     fields.save_csv(tmp_path / "chunked.csv")
     _row_loop_csv(fields, tmp_path / "rows.csv")
     chunked = (tmp_path / "chunked.csv").read_bytes()
@@ -546,9 +547,9 @@ def test_save_csv_reuses_mirror_rows_like_row_loop(tmp_path, monkeypatch,
     nx = 5
     j1, j2 = _mirrored_rows(rng, nt, nx), _mirrored_rows(rng, nt, nx)
     fields = CompiledFields(t=np.linspace(0.0, 1.0, nt),
-                            x=np.linspace(-1.0, 1.0, nx), j1=j1, j2=j2,
-                            windows=[], resources=None, params={},
-                            config_hash="", metadata={})
+                            x=np.linspace(-1.0, 1.0, nx), n_qubits=1,
+                            windows=[], params={}, scaling=ScalingConfig(),
+                            config_hash="", j1=j1, j2=j2)
     fields.save_csv(tmp_path / "chunked.csv")
     _row_loop_csv(fields, tmp_path / "rows.csv")
     chunked = (tmp_path / "chunked.csv").read_bytes()
@@ -596,12 +597,58 @@ def test_load_rejects_corrupt_files(compiled, tmp_path):
         CompiledFields.load(tmp_path)
     compiled.save(tmp_path)
     header = json.loads((tmp_path / "fields.json").read_text())
-    # a version 2 header lacks the gate durations, so it cannot re-render
-    for version in (2, 99):
+    # a version 2 header lacks the gate durations, so it cannot re-render;
+    # a version 3 header lacks the scaling, so it cannot state resources
+    for version in (2, 3, 99):
         header["format_version"] = version
         (tmp_path / "fields.json").write_text(json.dumps(header))
         with pytest.raises(ValidationError):
             CompiledFields.load(tmp_path)
+
+
+HEADER_KEYS = {"format_version", "t0", "t1", "dt", "nt", "x0", "x1", "dx",
+               "nx", "units", "payload", "payload_order", "n_qubits",
+               "windows", "params", "scaling", "config_hash"}
+
+
+@pytest.fixture(scope="module")
+def saved_plan(tmp_path_factory):
+    """A planned schedule, off the default scaling, and its field file."""
+    circuit = LogicalCircuit(2, (
+        GateSpec("xrot", (0,), angle=0.8),
+        GateSpec("entangling", (0, 1), alpha=ALPHA, beta=BETA),
+    ))
+    plan = schedule(circuit, FAST, ScalingConfig(lambda_prefactor=0.5,
+                                                 oversampling=1))
+    out = tmp_path_factory.mktemp("fields")
+    compiler.save(plan, out, "fields")
+    return plan, out
+
+
+def test_header_round_trip_states_each_fact_once(saved_plan):
+    plan, out = saved_plan
+    header = json.loads((out / "fields.json").read_text())
+    assert set(header) == HEADER_KEYS
+    loaded = CompiledFields.load(out)
+    assert loaded.n_qubits == plan.n_qubits == 2
+    assert loaded.scaling == plan.scaling
+    assert loaded.params == plan.params
+    assert loaded.windows == plan.windows
+    assert loaded.config_hash == plan.config_hash
+    assert loaded.resources == plan.resources
+    assert loaded.resources.lam == 0.25
+
+
+@pytest.mark.parametrize("scaling", [{"sample_cap": 0},
+                                     {"oversampling": 0.5}])
+def test_load_checks_the_scaling(saved_plan, tmp_path, scaling):
+    _, out = saved_plan
+    header = json.loads((out / "fields.json").read_text())
+    header["scaling"].update(scaling)
+    (tmp_path / "fields.json").write_text(json.dumps(header))
+    os.symlink(out / "fields.bin", tmp_path / "fields.bin")
+    with pytest.raises(ValidationError):
+        CompiledFields.load(tmp_path)
 
 
 def test_field_build_and_file_io_peak_memory(tmp_path):
@@ -642,7 +689,8 @@ def test_schedule_matches_compile(mixed_circuit, compiled):
     assert sched.resources == compiled.resources
     assert sched.params == compiled.params
     assert sched.config_hash == compiled.config_hash
-    assert sched.metadata == compiled.metadata
+    assert sched.n_qubits == compiled.n_qubits
+    assert sched.scaling == compiled.scaling
     assert sched.t.tobytes() == compiled.t.tobytes()
     assert sched.x.tobytes() == compiled.x.tobytes()
     replay, again = simulate_schedule(sched), simulate_schedule(compiled)
@@ -679,6 +727,6 @@ def test_extent_grows_near_linearly():
     extents = []
     for n in (2, 4, 8):
         fields = compile(LogicalCircuit(n, ()), FAST)
-        extents.append(fields.metadata["extent"])
+        extents.append(fields.resources.extent)
     assert extents[1] / extents[0] == pytest.approx(2.0, rel=0.1)
     assert extents[2] / extents[1] == pytest.approx(2.0, rel=0.05)
