@@ -12,7 +12,7 @@ else, so a field file's header is enough to rebuild its fields bit for
 bit.  It builds both fields from their separable factors in two passes:
 _fillers computes the factors once, each of length nt or nx, and returns
 one fill per field that writes any block of rows [lo, hi) into a caller's
-buffer.  Row i of J1 is
+buffer, or returns rows it already holds.  Row i of J1 is
 (pulse[i] - pulse[nt-1-i]) x S(x), with S the sum of the qubits'
 left-well Gaussians; on the linspace time grid T_total - t[i] equals
 t[nt-1-i] only to rounding, so the mirror is by row index.  Float
@@ -21,8 +21,13 @@ bit for bit on every row where the pulse difference is nonzero.  Where it
 is zero (outside the prep windows) both mirror rows hold +0.0, not the
 -0.0 of a negation.  J2 is envelope(t) x layout(x), plus each gate window's
 local deformation on the rows where the window and the block overlap.
-Every value depends on its row and column only, never on the block, so
-any blocking gives the same bits.
+Most of J2's rows are idle, with an envelope of exactly 1.0 and no gate
+window, so they equal the layout: a block of them is a slice of one
+read-only block built once.  An entangling-class window moves two wells,
+and each is evaluated only within WELL_REACH widths of its centres;
+beyond, exp underflows to 0 and the window would add +0.0 to a layout
+that holds no -0.0.  Every value depends on its row and column only,
+never on the block, so any blocking gives the same bits.
 
 _render fills all rows at once; compile returns CompiledFields, the
 Schedule with the two dense grids, which is what the field file stores.
@@ -30,9 +35,13 @@ save streams a Schedule instead, through the one payload writer
 _write_field_file: J1's and J2's row blocks are dealt in turn to two
 workers, the calling thread and one more, and each fills its block into
 its own buffer of FILE_BLOCK_VALUES // 2 samples and writes it at the
-block's offset in the file.  numpy and the write release the GIL, so the
-two overlap, and the CLI's compile holds one block's worth of buffers,
-not two (nt, nx) grids, while writing the bytes CompiledFields.save writes.
+block's offset in the file.  The writes do not overlap: ext4 serializes
+buffered writes to one file, and 77 MB of 1 MB pwrites took a median
+26 ms from one thread and 24 ms from two (2-core virtualised Xeon).  The
+second worker helps only by filling its block, in numpy outside the GIL,
+while the other writes.  The CLI's compile holds one block's worth of
+buffers, not two (nt, nx) grids, while writing the bytes
+CompiledFields.save writes.
 
 Gate windows carry the calibration records produced by the gates module,
 with the bump's calibrated duration and the logical gate beside them;
@@ -80,6 +89,9 @@ INTER_QUBIT_TUNNELING = 1e-10
 FORMAT_VERSION = 4
 CSV_BLOCK_VALUES = 1 << 12   # samples per save_csv write (about 300 kB of text)
 FILE_BLOCK_VALUES = 1 << 17  # two save workers' blocks, in samples (1 MB)
+# widths from its centre past which a Gaussian well's exp(-d^2 / 2 w^2)
+# underflows to 0: exp(-750) is below half the least denormal
+WELL_REACH = math.sqrt(2.0 * 750.0)
 
 
 @dataclass(frozen=True)
@@ -183,14 +195,21 @@ def compute_sampling(t_total, extent, omega_max, m, oversampling):
     return nt, nx, dt_max, dx_max
 
 
-def _switch(s):
-    """Smooth monotone 0 -> 1 switch: normalized running bump integral."""
-    s = np.asarray(s, dtype=float)
+def _switch_table():
+    """The switch's grid on [0, 1] and its normalized running bump integral."""
     fine = np.linspace(0.0, 1.0, 4097)
     vals = gevrey_bump(fine)
     cumulative = np.concatenate(
         [[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2.0 * np.diff(fine))])
-    return np.interp(s, fine, cumulative / cumulative[-1])
+    return fine, cumulative / cumulative[-1]
+
+
+_SWITCH_GRID, _SWITCH_VALUES = _switch_table()
+
+
+def _switch(s):
+    """Smooth monotone 0 -> 1 switch: normalized running bump integral."""
+    return np.interp(np.asarray(s, dtype=float), _SWITCH_GRID, _SWITCH_VALUES)
 
 
 @dataclass
@@ -341,7 +360,7 @@ def _write_field_file(plan, out_dir, basename, fills, buffered):
         "config_hash": plan.config_hash,
     }
     nt, nx = plan.t.size, plan.x.size
-    rows = max(1, FILE_BLOCK_VALUES // 2 // nx)
+    rows = _block_rows(nx)
     blocks = [(k, lo, min(lo + rows, nt))
               for k in range(2) for lo in range(0, nt, rows)]
     header_path = os.path.join(out_dir, basename + ".json")
@@ -383,6 +402,11 @@ def _write_field_file(plan, out_dir, basename, fills, buffered):
         _unlink(payload_path)
         _unlink(header_path)
         raise
+
+
+def _block_rows(nx):
+    """Rows in one of _write_field_file's blocks of a field nx samples wide."""
+    return max(1, FILE_BLOCK_VALUES // 2 // nx)
 
 
 def _unlink(path):
@@ -612,7 +636,13 @@ def _fillers(plan: Schedule):
     A fill writes J1 = (pulse(t) - pulse(T_total - t)) x S(x) or J2 =
     envelope(t) x layout(x) on its rows into out, of shape (hi - lo, nx),
     adds each gate window's deformation on the rows it shares with the
-    block, and returns out.
+    block, and returns out.  A J2 block of idle rows, envelope exactly
+    1.0 and in no gate window, returns a slice of one read-only block of
+    layout rows instead, built here and no taller than a save block.  An
+    entangling-class window evaluates each moved well and its parked
+    well only on the columns within WELL_REACH widths of their centres,
+    in place in one buffer per well, in the order the full-width sum
+    would use.
     """
     t, x = plan.t, plan.x
     nt = t.size
@@ -654,7 +684,8 @@ def _fillers(plan: Schedule):
 
     # gate windows: (first row, end row, time factor, x factor) on the
     # window's rows t_start <= t < t_end; an entangling-class window's x
-    # factor is the pair of facing well centres its time factor moves
+    # factor is the pair of facing well centres its time factor moves, each
+    # with its parked well
     terms = []
     for w in gate_windows:
         rec = w.calibration
@@ -675,12 +706,41 @@ def _fillers(plan: Schedule):
             qa, qb = sorted(w.qubits)
             ca, cb = wells[qa, 1], wells[qb, 0]
             terms.append((r0, r1, (0.3 * (cb - ca)) * bump / BUMP_PEAK,
-                          (ca, cb)))
+                          (ca, well(ca), cb, well(cb))))
+
+    # an idle row, envelope exactly 1.0 and in no gate window, is the
+    # layout; a block of idle rows is a slice of one shared block of them
+    busy = envelope != 1.0
+    for r0, r1, _, _ in terms:
+        busy[r0:r1] = True
+    busy_before = np.concatenate([[0], np.cumsum(busy)])
+    idle = np.tile(layout, (min(nt, _block_rows(x.size)), 1))
+    idle.flags.writeable = False
+
+    # shifted(centre, parked, to) is moved - parked, row by row, for a well
+    # moved from centre to to[row], on the columns within WELL_REACH widths
+    # of centre or of some to[row]; beyond, both underflow to -0.0 and
+    # their difference is +0.0
+    reach = WELL_REACH * width
+    scale = -2.0 * width ** 2  # (-a) / b is a / (-b) bit for bit
+
+    def shifted(centre, parked, to):
+        cols = slice(*np.searchsorted(x, (min(centre, to.min()) - reach,
+                                          max(centre, to.max()) + reach)))
+        out = np.subtract(x[cols], to[:, None])
+        np.square(out, out=out)
+        np.divide(out, scale, out=out)
+        np.exp(out, out=out)
+        np.multiply(out, -depth, out=out)
+        out -= parked[cols]
+        return cols, out
 
     def fill_j1(lo, hi, out):
         return np.multiply(difference[lo:hi, None], profile, out=out)
 
     def fill_j2(lo, hi, out):
+        if busy_before[hi] == busy_before[lo] and hi - lo <= len(idle):
+            return idle[:hi - lo]
         np.multiply(envelope[lo:hi, None], layout, out=out)
         for r0, r1, time_factor, x_factor in terms:
             a, b = max(r0, lo), min(r1, hi)
@@ -688,14 +748,18 @@ def _fillers(plan: Schedule):
                 continue
             rows, coef = out[a - lo:b - lo], time_factor[a - r0:b - r0]
             if isinstance(x_factor, tuple):
-                ca, cb = x_factor
-                shift = coef[:, None]
-                moved_a = well(ca + shift)
-                moved_a -= well(ca)
-                moved_b = well(cb - shift)
-                moved_b -= well(cb)
-                moved_a += moved_b
-                rows += moved_a
+                # 0 <= coef <= 0.3 (cb - ca) keeps ca + coef below cb - coef,
+                # so a's columns start and end no later than b's.  Rows gain
+                # moved_a + moved_b where both are evaluated; elsewhere the
+                # other is +0.0, and v + 0.0 is v: neither is -0.0, nor is
+                # 1.0 x layout
+                ca, parked_a, cb, parked_b = x_factor
+                near_a, moved_a = shifted(ca, parked_a, ca + coef)
+                near_b, moved_b = shifted(cb, parked_b, cb - coef)
+                lap = max(near_a.stop - near_b.start, 0)
+                moved_a[:, moved_a.shape[1] - lap:] += moved_b[:, :lap]
+                rows[:, near_a] += moved_a
+                rows[:, near_b.start + lap:near_b.stop] += moved_b[:, lap:]
             else:
                 rows += np.outer(coef, x_factor)
         return out

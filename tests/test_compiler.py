@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from fieldforge import compiler
+from fieldforge.adiabatic import gevrey_bump
 from fieldforge.circuits import GateSpec, LogicalCircuit, ideal_unitary, insert_swaps
 from fieldforge.compiler import (
     CompileParams,
@@ -29,7 +30,7 @@ from fieldforge.errors import (
     InfeasibleGate,
     ValidationError,
 )
-from fieldforge.gates import calibrate_z_gate
+from fieldforge.gates import BUMP_PEAK, calibrate_z_gate
 
 ALPHA, BETA = native_entangling_phases()
 FAST = CompileParams(eps=0.5)
@@ -341,6 +342,91 @@ def test_failed_save_leaves_no_field_file(compiled, mixed_circuit, tmp_path,
     assert not os.path.exists(tmp_path / "fields.bin")
     with pytest.raises(OSError):
         CompiledFields.load(tmp_path)
+
+
+def _plain_j2(plan):
+    """J2 from the plain formulas, every term over every row and column."""
+    t, x, p = plan.t, plan.x, plan.params
+    depth, width = p["well_depth"], p["well_width"]
+    first, _, *gate_windows, _, last = plan.windows
+
+    def gaussian(center, w):
+        return np.exp(-(x - center) ** 2 / (2.0 * w ** 2))
+
+    def well(center):
+        return -depth * gaussian(center, width)
+
+    def switch(s):
+        fine = np.linspace(0.0, 1.0, 4097)
+        vals = gevrey_bump(fine)
+        cumulative = np.concatenate(
+            [[0.0], np.cumsum((vals[1:] + vals[:-1]) / 2.0 * np.diff(fine))])
+        return np.interp(s, fine, cumulative / cumulative[-1])
+
+    centers = np.arange(plan.n_qubits) * p["pitch"]
+    left = centers - p["intra_spacing"] / 2.0
+    right = centers + p["intra_spacing"] / 2.0
+    layout = sum(well(c) for pair in zip(left, right) for c in pair)
+    envelope = np.ones(t.size)
+    up, down = t < first.t_end, t > last.t_start
+    envelope[up] = switch(t[up] / first.t_end)
+    envelope[down] = switch((t[-1] - t[down]) / first.t_end)
+    j2 = envelope[:, None] * layout
+    for w in gate_windows:
+        rec = w.calibration
+        r0, r1 = np.searchsorted(t, (w.t_start, w.t_end))
+        bump = gevrey_bump((t[r0:r1] - w.t_start) / rec["duration"])
+        if w.label == "gate:zrot":
+            j2[r0:r1] += np.outer(abs(rec["beta"]) / 50.0 * bump,
+                                  well(left[w.qubits[0]]))
+        elif w.label == "gate:xrot":
+            j2[r0:r1] += np.outer(
+                (rec["beta"] / 100.0) * bump,
+                depth * gaussian(centers[w.qubits[0]], width / 2.0))
+        else:
+            qa, qb = sorted(w.qubits)
+            ca, cb = right[qa], left[qb]
+            shift = ((0.3 * (cb - ca)) * bump / BUMP_PEAK)[:, None]
+            j2[r0:r1] += ((well(ca + shift) - well(ca))
+                          + (well(cb - shift) - well(cb)))
+    return j2
+
+
+@pytest.mark.parametrize("case", ["distant", "design", "shallow"])
+def test_streamed_j2_matches_plain_formulas(tmp_path, case):
+    # distant: a 4-qubit entangling(0, 3) is routed through swaps, and its
+    # wells reach columns where exp underflows or goes denormal; design: a
+    # design_export point at oversampling 1; shallow: qubits about 96 well
+    # widths apart, so near a window's ends the moved pair's columns do not
+    # meet
+    params = {"distant": FAST,
+              "design": CompileParams(eps=0.5, well_width=0.9,
+                                      intra_spacing=4.3),
+              "shallow": CompileParams(eps=0.5, well_depth=0.02)}[case]
+    alpha, beta = native_entangling_phases(params)
+    if case == "distant":
+        circuit = LogicalCircuit(4, (
+            GateSpec("xrot", (1,), angle=0.8),
+            GateSpec("entangling", (0, 3), alpha=alpha, beta=beta)))
+    else:
+        circuit = LogicalCircuit(3, (
+            GateSpec("xrot", (2,), angle=0.9),
+            GateSpec("entangling", (0, 1), alpha=alpha, beta=beta),
+            GateSpec("zrot", (1,), angle=-0.6),
+            GateSpec("entangling", (2, 1), alpha=alpha, beta=beta)))
+    scaling = ScalingConfig(oversampling=1.0 if case == "design" else 4.0)
+    plan = schedule(circuit, params, scaling)
+    labels = [w.label for w in plan.windows]
+    assert ("gate:swap" in labels) == (case == "distant")
+    if case == "distant":
+        # the wells' exponents span normal, denormal and underflowing values
+        tail = np.exp(-(plan.x - plan.x[0]) ** 2
+                      / (2.0 * plan.params["well_width"] ** 2))
+        assert 0.0 in tail and ((0.0 < tail) & (tail < 2.3e-308)).any()
+    compiler.save(plan, tmp_path, "fields")
+    payload = (tmp_path / "fields.bin").read_bytes()
+    expected = _plain_j2(plan).astype("<f8").tobytes()
+    assert payload[len(payload) // 2:] == expected
 
 
 def test_routing_happens_inside_compile(compiled, mixed_circuit):
