@@ -19,7 +19,8 @@ t[nt-1-i] only to rounding, so the mirror is by row index.  Float
 subtraction is antisymmetric, so J1[nt-1-i] = -J1[i] holds by value, and
 bit for bit on every row where the pulse difference is nonzero.  Where it
 is zero (outside the prep windows) both mirror rows hold +0.0, not the
--0.0 of a negation.  J2 is envelope(t) x layout(x), plus each gate window's
+-0.0 of a negation, and a block of such rows is a slice of one read-only
+block of zeros.  J2 is envelope(t) x layout(x), plus each gate window's
 local deformation on the rows where the window and the block overlap.
 Most of J2's rows are idle, with an envelope of exactly 1.0 and no gate
 window, so they equal the layout: a block of them is a slice of one
@@ -41,7 +42,9 @@ buffered writes to one file, and 77 MB of 1 MB pwrites took a median
 second worker helps only by filling its block, in numpy outside the GIL,
 while the other writes.  The CLI's compile holds one block's worth of
 buffers, not two (nt, nx) grids, while writing the bytes
-CompiledFields.save writes.
+CompiledFields.save writes.  CompiledFields.save_csv, the text dump,
+formats on two cores too: a child interpreter running the standard-library
+module _csvrows writes the middle half of the time rows (see save_csv).
 
 Gate windows carry the calibration records produced by the gates module,
 with the bump's calibrated duration and the logical gate beside them;
@@ -59,17 +62,21 @@ the X parameter over m, the entangling trajectory's stretched tau), not
 sample count is 2 nt nx, at 64 bits a sample.
 """
 
+import contextlib
 import functools
 import hashlib
 import itertools
 import json
 import math
 import os
+import sys
+import tempfile
 import threading
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from . import _csvrows
 from .adiabatic import gevrey_bump
 from .chirp import ChirpSource
 from .circuits import GateSpec, LogicalCircuit, insert_swaps, vacuum_amplitude
@@ -274,37 +281,58 @@ class CompiledFields(Schedule):
     def save_csv(self, path):
         """One "t,x,j1,j2" row per sample, time-major, at 17 digits.
 
-        Each block of time rows is one C-level % call: the template repeats
-        the x strings once per row, with the row's t in front, and takes the
-        j1/j2 strings interleaved.  So the text in memory stays near
-        CSV_BLOCK_VALUES lines, plus the kept text of the mirrored rows.
+        The text is formatted on two cores.  With q = nt // 4, the calling
+        process writes rows [0, q) and [nt - q, nt), and a child interpreter
+        (python -I -S running _csvrows) writes rows [q, nt - q).  Both
+        ranges are symmetric about the centre row, so each process pairs
+        row i with its mirror row nt - 1 - i.  The child reads the raw bytes
+        of x and of its rows' t, J1 and J2 from one unnamed temporary file
+        and writes its text to a second; the caller keeps its last rows'
+        text in a third, then appends the two to path with
+        os.copy_file_range.  The three files live in path's directory,
+        unnamed, so they vanish when closed and the copies stay on one
+        file system.  If either process fails, the child is killed and
+        reaped, path is removed, and the error is raised: a child's
+        non-zero exit as OSError.  Where os.copy_file_range or
+        sys.executable is missing, the caller writes every row, in order.
 
-        A field row is formatted only when it is new (see _row_strings): a
-        row with the bits of the previous row reuses its strings, and a row
-        whose bits are the negation of its mirror row's, row nt - 1 - i,
+        Each process formats its rows in blocks of CSV_BLOCK_VALUES
+        samples (see _csvrows.csv_blocks), and formats a field row only
+        when it is new: a row with the bits of the previous row reuses its
+        strings, and a row whose bits are the negation of its mirror row's
         reuses the mirror's text with every sign toggled.  That covers the
         reverse prep of J1, where J1(T - t) = -J1(t).  Rows that print a
         NaN are formatted fresh, since "%.17g" drops a NaN's sign.
         """
         nt, nx = self.j1.shape
-        fmt = "%.17g".__mod__
-        row = "".join(["\0," + v + ",%s,%s\n"
-                       for v in map(fmt, self.x.tolist())])
-        times = list(map(fmt, self.t.tolist()))
-        j1, j2 = _row_strings(self.j1, fmt), _row_strings(self.j2, fmt)
         rows = max(1, CSV_BLOCK_VALUES // nx)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("t,x,j1,j2\n")
-            for start in range(0, nt, rows):
-                stop = min(start + rows, nt)
-                cells = [None] * (2 * nx * (stop - start))
-                cells[0::2] = itertools.chain.from_iterable(
-                    itertools.islice(j1, stop - start))
-                cells[1::2] = itertools.chain.from_iterable(
-                    itertools.islice(j2, stop - start))
-                template = "".join([row.replace("\0", ti)
-                                    for ti in times[start:stop]])
-                fh.write(template % tuple(cells))
+        split = hasattr(os, "copy_file_range") and bool(sys.executable)
+        q = nt // 4 if split else nt
+        mine = np.r_[0:q, nt - q:nt] if split else slice(None)
+        directory = os.path.dirname(os.path.abspath(path))
+        try:
+            with contextlib.ExitStack() as stack:
+                if split:  # first, so the child starts while we format
+                    middle = _spawn_rows(self, q, nt - q, rows, directory,
+                                         stack)
+                texts = _csvrows.csv_blocks(
+                    _raw(self.x), *(_raw(a[mine])
+                                    for a in (self.t, self.j1, self.j2)),
+                    rows, q)
+                fh = stack.enter_context(open(path, "w", encoding="utf-8"))
+                fh.write("t,x,j1,j2\n")
+                fh.writelines(itertools.islice(texts, -(-q // rows)))
+                if split:
+                    last = stack.enter_context(tempfile.TemporaryFile(
+                        "w+", encoding="utf-8", dir=directory))
+                    last.writelines(texts)
+                    last.flush()
+                    fh.flush()
+                    _append(middle(), fh)
+                    _append(last, fh)
+        except BaseException:
+            _unlink(path)
+            raise
 
     @classmethod
     def load(cls, out_dir, basename="fields"):
@@ -338,8 +366,9 @@ def _write_field_file(plan, out_dir, basename, fills, buffered):
     worker i % 2: the calling thread and one more.  A worker passes out as
     a view of its own buffer of that size when buffered, else None, and
     writes what fill returns at the block's own offset in the file, so the
-    bytes do not depend on which worker finishes first.  The header is
-    written once every block has landed.  If a worker fails, the other
+    bytes do not depend on which worker finishes first.  A header or CSV
+    of basename left by an earlier write is removed first, and the header
+    is written once every block has landed.  If a worker fails, the other
     stops after its current block, the payload and any header are removed,
     and the first error is raised as it was.
     """
@@ -384,7 +413,9 @@ def _write_field_file(plan, out_dir, basename, fills, buffered):
             errors.append(exc)
 
     try:
-        _unlink(header_path)  # a stale header must not describe this payload
+        # a stale header or CSV must not sit beside this payload
+        _unlink(header_path)
+        _unlink(os.path.join(out_dir, basename + ".csv"))
         fd = os.open(payload_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC,
                      0o666)
         try:
@@ -416,40 +447,65 @@ def _unlink(path):
         pass
 
 
-def _row_strings(values, fmt):
-    """Each row of values as a list of fmt strings, lazily.
+def _raw(values):
+    """The bytes of an array as little-endian float64, without a copy
+    where they already are."""
+    return memoryview(
+        np.ascontiguousarray(values, "<f8").reshape(-1).view(np.uint8))
 
-    compile leaves J1 zero outside the prep windows and J2 equal to the
-    layout outside the ramps and gate windows, so long runs of rows repeat.
-    A row whose bits equal the previous row's reuses its strings.  Bits, not
-    ==, because -0.0 == 0.0 but the two print as "-0" and "0".
 
-    The reverse prep mirrors the prep, J1[nt-1-i] = -J1[i], so a row in the
-    first half whose bits equal those of its negated mirror row
-    -values[nt - 1 - i] keeps its strings, joined by ",", until that mirror
-    row comes up.  The mirror's strings are then the joined text with each
-    sign toggled: "%.17g" writes "-" only as a leading sign or after "e",
-    so a "-" in front of every cell, with "--" dropped, negates each one.
-    A row that prints a NaN is not kept, because "%.17g" drops the sign of
-    a NaN; its mirror row is formatted like any other.
+def _spawn_rows(fields, lo, hi, rows, directory, stack):
+    """Start a child writing the CSV text of fields' rows [lo, hi).
+
+    The child, _csvrows run by sys.executable -I -S, reads the rows'
+    values from an unnamed temporary file in directory and writes their
+    text, in blocks of rows rows, to a second one.  Both files and the
+    child belong to stack: on its exit a child still running is killed,
+    and every child is reaped.  Returns a function that waits for the
+    child and returns its text file, or raises OSError if it failed.
     """
-    nt = len(values)
-    mirrors = {}
-    bits = text = None
-    for i, line in enumerate(values):
-        key, kept = line.tobytes(), mirrors.pop(i, None)
-        if key != bits:
-            bits = key
-            if kept is None:
-                text = list(map(fmt, line.tolist()))
-            else:
-                text = ("-" + kept.replace(",", ",-")).replace(
-                    "--", "").split(",")
-        if i < nt - 1 - i and (-values[nt - 1 - i]).tobytes() == key:
-            joined = ",".join(text)
-            if "nan" not in joined:
-                mirrors[nt - 1 - i] = joined
-        yield text
+    import subprocess  # on first use: a compile without a CSV never spawns
+
+    source = stack.enter_context(tempfile.TemporaryFile(dir=directory))
+    for values in (fields.x, fields.t[lo:hi], fields.j1[lo:hi],
+                   fields.j2[lo:hi]):
+        source.write(_raw(values))
+    source.seek(0)
+    text = stack.enter_context(tempfile.TemporaryFile(dir=directory))
+    child = stack.enter_context(subprocess.Popen(
+        [sys.executable, "-I", "-S", _csvrows.__file__,
+         str(hi - lo), str(fields.x.size), str(rows)],
+        stdin=source, stdout=text, stderr=subprocess.PIPE))
+    stack.callback(_stop, child)
+
+    def finish():
+        _, err = child.communicate()
+        if child.returncode:
+            lines = err.decode(errors="replace").strip().splitlines()
+            raise OSError(f"CSV row writer exited with status "
+                          f"{child.returncode}: "
+                          f"{lines[-1] if lines else 'no message'}")
+        return text
+
+    return finish
+
+
+def _stop(child):
+    """Kill child if it still runs, and reap it."""
+    if child.poll() is None:
+        child.kill()
+        child.wait()
+
+
+def _append(source, target):
+    """Append all of file source at target's position, in the kernel."""
+    size, done = os.fstat(source.fileno()).st_size, 0
+    while done < size:
+        copied = os.copy_file_range(source.fileno(), target.fileno(),
+                                    size - done, done)
+        if not copied:
+            raise OSError(f"copy stopped at byte {done} of {size}")
+        done += copied
 
 
 def _config_hash(params: dict, config: ScalingConfig):
@@ -638,7 +694,9 @@ def _fillers(plan: Schedule):
     adds each gate window's deformation on the rows it shares with the
     block, and returns out.  A J2 block of idle rows, envelope exactly
     1.0 and in no gate window, returns a slice of one read-only block of
-    layout rows instead, built here and no taller than a save block.  An
+    layout rows instead, built here and no taller than a save block; a J1
+    block whose pulse difference is +0.0 on every row returns a slice of
+    one such block of zeros.  An
     entangling-class window evaluates each moved well and its parked
     well only on the columns within WELL_REACH widths of their centres,
     in place in one buffer per well, in the order the full-width sum
@@ -681,6 +739,12 @@ def _fillers(plan: Schedule):
     pulse[sel] = chirp(t[sel] - prep.t_start - t_prep / 2.0)
     difference = pulse - pulse[::-1]
     profile = sum(_gaussian(x, c, width) for c in wells[:, 0])
+    # outside the prep windows the difference is +0.0, and so is its row:
+    # a block of such rows is a slice of one shared block of zeros
+    live_before = np.concatenate(
+        [[0], np.cumsum(difference.view(np.int64) != 0)])
+    zeros = np.zeros((min(nt, _block_rows(x.size)), x.size))
+    zeros.flags.writeable = False
 
     # gate windows: (first row, end row, time factor, x factor) on the
     # window's rows t_start <= t < t_end; an entangling-class window's x
@@ -736,6 +800,8 @@ def _fillers(plan: Schedule):
         return cols, out
 
     def fill_j1(lo, hi, out):
+        if live_before[hi] == live_before[lo] and hi - lo <= len(zeros):
+            return zeros[:hi - lo]
         return np.multiply(difference[lo:hi, None], profile, out=out)
 
     def fill_j2(lo, hi, out):

@@ -326,6 +326,41 @@ def test_compile_write_failure_exits_three(capsys, tmp_path, monkeypatch,
     assert os.listdir(out) == []
 
 
+def test_binary_compile_removes_a_stale_csv(capsys, tmp_path, circuit_file,
+                                            config_file):
+    out = str(tmp_path / "out")
+    argv = ["compile", "--circuit", circuit_file, "--config", config_file,
+            "--out", out]
+    code, _, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 0 and os.path.exists(os.path.join(out, "fields.csv"))
+    code, stdout, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(stdout)["files"] == ["fields.json", "fields.bin"]
+    assert sorted(os.listdir(out)) == ["fields.bin", "fields.json"]
+
+
+def test_compile_csv_child_failure_exits_three(capsys, tmp_path, monkeypatch,
+                                               circuit_file, config_file):
+    # a child interpreter writes the CSV's middle rows; its failure is an
+    # OSError, so main reports it, and neither a partial CSV nor a
+    # temporary file nor the child is left
+    child = tmp_path / "bin" / "python"
+    child.parent.mkdir()
+    child.write_text("#!/bin/sh\necho 'row writer broke' >&2\nexit 7\n")
+    child.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(child))
+    out = tmp_path / "out"
+    code, stdout, err = run(capsys, ["compile", "--circuit", circuit_file,
+                                     "--config", config_file, "--out",
+                                     str(out), "--format", "csv"])
+    assert code == 3 and stdout == ""
+    assert err == ("error: CSV row writer exited with status 7: "
+                   "row writer broke\n")
+    assert sorted(os.listdir(out)) == ["fields.bin", "fields.json"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _src_env():
     """os.environ with this fieldforge's source tree first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(fieldforge.__file__))

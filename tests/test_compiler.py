@@ -1,16 +1,18 @@
 import dataclasses
+import itertools
 import json
 import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from fieldforge import compiler
+from fieldforge import _csvrows, compiler
 from fieldforge.adiabatic import gevrey_bump
 from fieldforge.circuits import GateSpec, LogicalCircuit, ideal_unitary, insert_swaps
 from fieldforge.compiler import (
@@ -594,6 +596,14 @@ def test_save_csv_matches_row_loop(tmp_path, monkeypatch, block):
     assert b"\n2.5,-3,0," in chunked and b"\n2.75,-3,-0," in chunked
 
 
+def _fields(values_j1, values_j2):
+    nt, nx = values_j1.shape
+    return CompiledFields(t=np.linspace(0.0, 1.0, nt),
+                          x=np.linspace(-1.0, 1.0, nx), n_qubits=1,
+                          windows=[], params={}, scaling=ScalingConfig(),
+                          config_hash="", j1=values_j1, j2=values_j2)
+
+
 def _mirrored_rows(rng, nt, nx):
     """Random rows where row i and row nt - 1 - i meet every mirror case."""
     values = (rng.normal(size=(nt, nx))
@@ -622,20 +632,20 @@ def _mirrored_rows(rng, nt, nx):
     return values
 
 
-@pytest.mark.parametrize("nt", [15, 16])
+@pytest.mark.parametrize("nt", [15, 16, 20])
 @pytest.mark.parametrize("block", [3, 20, compiler.CSV_BLOCK_VALUES])
 def test_save_csv_reuses_mirror_rows_like_row_loop(tmp_path, monkeypatch,
                                                    block, nt):
     # with nx = 5, blocks of 3 and 20 values hold one and four time rows,
-    # so every mirror pair crosses a block edge
+    # so every mirror pair crosses a block edge.  save_csv's child writes
+    # rows [nt // 4, nt - nt // 4); at nt = 20 that is [5, 15), so the
+    # repeated and mirrored rows 4 and 5 lie on either side of its first
+    # row, and their mirrors 15 and 14 on either side of its end
     monkeypatch.setattr(compiler, "CSV_BLOCK_VALUES", block)
     rng = np.random.default_rng(nt)
     nx = 5
     j1, j2 = _mirrored_rows(rng, nt, nx), _mirrored_rows(rng, nt, nx)
-    fields = CompiledFields(t=np.linspace(0.0, 1.0, nt),
-                            x=np.linspace(-1.0, 1.0, nx), n_qubits=1,
-                            windows=[], params={}, scaling=ScalingConfig(),
-                            config_hash="", j1=j1, j2=j2)
+    fields = _fields(j1, j2)
     fields.save_csv(tmp_path / "chunked.csv")
     _row_loop_csv(fields, tmp_path / "rows.csv")
     chunked = (tmp_path / "chunked.csv").read_bytes()
@@ -644,13 +654,14 @@ def test_save_csv_reuses_mirror_rows_like_row_loop(tmp_path, monkeypatch,
         assert text in chunked
     assert b",-nan," not in chunked
     # row 5 repeats row 4; the mirrors of rows 0, 4, 5 and nt // 2 - 1
-    # reuse the kept text, so those five rows format no value
+    # reuse the kept text, so those five rows are not formatted
     formatted = []
-    fmt = "%.17g".__mod__
-    rows = list(compiler._row_strings(j1, lambda v: formatted.append(v)
-                                      or fmt(v)))
-    assert rows == [list(map(fmt, line.tolist())) for line in j1]
-    assert len(formatted) == (nt - 5) * nx
+    fmt_row = ",".join(["%.17g"] * nx).__mod__
+    rows = list(_csvrows.row_strings(
+        compiler._raw(j1), nx, lambda row: formatted.append(row)
+        or fmt_row(row)))
+    assert rows == [list(map("%.17g".__mod__, line.tolist())) for line in j1]
+    assert len(formatted) == nt - 5
 
 
 def test_save_csv_matches_row_loop_on_compiled(tmp_path):
@@ -669,6 +680,65 @@ def test_save_csv_matches_row_loop_on_compiled(tmp_path):
     _row_loop_csv(fields, tmp_path / "rows.csv")
     assert ((tmp_path / "chunked.csv").read_bytes()
             == (tmp_path / "rows.csv").read_bytes())
+
+
+@pytest.mark.parametrize("nt", [1, 2, 3, 5])
+def test_save_csv_split_with_an_empty_part_matches_row_loop(tmp_path, nt):
+    # below nt = 4 the calling process writes no row and the child all of
+    # them; at nt = 5 the caller writes rows 0 and 4, the child 1 to 3
+    rng = np.random.default_rng(nt)
+    fields = _fields(rng.normal(size=(nt, 3)), rng.normal(size=(nt, 3)))
+    fields.j1[-1] = -fields.j1[0]
+    fields.save_csv(tmp_path / "split.csv")
+    _row_loop_csv(fields, tmp_path / "rows.csv")
+    assert ((tmp_path / "split.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())
+    assert sorted(os.listdir(tmp_path)) == ["rows.csv", "split.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_save_csv_without_copy_file_range_writes_rows_in_order(
+        tmp_path, monkeypatch):
+    rng = np.random.default_rng(3)
+    fields = _fields(_mirrored_rows(rng, 16, 5), _mirrored_rows(rng, 16, 5))
+    monkeypatch.delattr(os, "copy_file_range")
+    monkeypatch.setattr(sys, "executable", "")  # a spawn would fail
+    fields.save_csv(tmp_path / "in_order.csv")
+    _row_loop_csv(fields, tmp_path / "rows.csv")
+    assert ((tmp_path / "in_order.csv").read_bytes()
+            == (tmp_path / "rows.csv").read_bytes())
+
+
+def test_save_csv_caller_failure_kills_the_child(tmp_path, monkeypatch):
+    rng = np.random.default_rng(5)
+    fields = _fields(rng.normal(size=(16, 5)), rng.normal(size=(16, 5)))
+    out = tmp_path / "out"
+    out.mkdir()
+    # a stand-in child that outlives the test unless it is killed
+    started = tmp_path / "started"
+    child = tmp_path / "bin" / "python"
+    child.parent.mkdir()
+    child.write_text(f"#!/bin/sh\ntouch {started}\nexec sleep 60\n")
+    child.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(child))
+    blocks = _csvrows.csv_blocks
+
+    def failing(*args):
+        yield from itertools.islice(blocks(*args), 1)
+        deadline = time.monotonic() + 10.0
+        while not started.exists() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        raise _InjectedError("caller failed")
+
+    monkeypatch.setattr(_csvrows, "csv_blocks", failing)
+    begin = time.monotonic()
+    with pytest.raises(_InjectedError):
+        fields.save_csv(out / "fields.csv")
+    assert started.exists() and time.monotonic() - begin < 30.0
+    assert os.listdir(out) == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_load_rejects_corrupt_files(compiled, tmp_path):
