@@ -176,9 +176,6 @@ def chirp_spectrum(source: ChirpSource, omega):
     return source._scale * val
 
 
-REGIONS = ("in_band", "transition", "tail")
-
-
 @dataclass
 class SpectrumRegionBound:
     region: str

@@ -5,9 +5,16 @@ compile, verify, hadamard, estimate-resources.  verify and
 estimate-resources plan a circuit's schedule without sampling J1 and J2;
 estimate-resources prints the resources read off that schedule: the prep
 and gate window lengths, the extent and the sample and bit counts.
-Results go to stdout as JSON (or CSV with --format csv where a table
-makes sense).  JSON floats print as their shortest repr and CSV floats
-with 17 significant digits, so values round-trip exactly either way.
+Results go to stdout as JSON.  JSON floats print as their shortest repr
+and CSV floats with 17 significant digits, so values round-trip exactly
+either way.
+
+Each command accepts only the options it reads, and any other flag is a
+usage error.  --config (a JSON file with params and scaling blocks) is
+taken by calibrate entangling, compile, verify, hadamard and
+estimate-resources; --format csv by eigensolve and spectrum, which then
+print a table, and by compile, which then writes fields.csv; --out (the
+field directory, default "compiled") by compile; --seed by hadamard.
 
 Exit codes: 0 success, 2 promise_violated (hadamard decision), 3
 validation or verification failure.
@@ -225,7 +232,6 @@ def _cmd_spectrum(args):
 
 
 def _cmd_calibrate(args):
-    params, _ = _load_config(args.config)
     if args.which == "x":
         cal = calibrate_x_gate(args.g, args.beta, target=args.target,
                                include_idle=not args.no_idle)
@@ -234,6 +240,7 @@ def _cmd_calibrate(args):
                                tau=args.tau, alpha0=args.alpha0)
     else:
         from .compiler import _entangling_window
+        params, _ = _load_config(args.config)
         _, cal = _entangling_window(params)
     _emit(cal.record())
     return 0
@@ -325,11 +332,10 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def build_parser():
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON file with params/scaling blocks")
-    common.add_argument("--seed", type=int, default=0, help="u64 RNG seed")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--format", choices=("json", "csv"), default="json")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", help="JSON file with params/scaling blocks")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv"), default="json")
 
     parser = _Parser(
         prog="fieldforge",
@@ -337,7 +343,7 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("eigensolve", parents=[common],
+    p = sub.add_parser("eigensolve", parents=[fmt],
                        help="bound states of a 1d potential")
     p.add_argument("--potential", choices=("poschl-teller", "qes", "csv"),
                    required=True)
@@ -351,7 +357,7 @@ def build_parser():
     p.add_argument("--max-states", type=int)
     p.set_defaults(func=_cmd_eigensolve)
 
-    p = sub.add_parser("passage", parents=[common],
+    p = sub.add_parser("passage",
                        help="scaled sweep parameters and condition checks")
     p.add_argument("--eps", type=float, required=True)
     p.add_argument("--gate-count", type=int)
@@ -359,7 +365,7 @@ def build_parser():
                    help="prefactor C in the condition thresholds")
     p.set_defaults(func=_cmd_passage)
 
-    p = sub.add_parser("spectrum", parents=[common],
+    p = sub.add_parser("spectrum", parents=[fmt],
                        help="chirp spectral amplitude and region bounds")
     p.add_argument("--omega0", type=float, required=True)
     p.add_argument("--kappa", type=float, required=True)
@@ -371,38 +377,43 @@ def build_parser():
     p.add_argument("--points", type=int, default=257)
     p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="gate calibration records")
-    p.add_argument("which", choices=("x", "z", "entangling"))
+    p = sub.add_parser("calibrate", help="gate calibration records")
+    p.set_defaults(func=_cmd_calibrate)
+    gate = p.add_subparsers(dest="which", required=True)
+    p = gate.add_parser("x", help="X-gate duration")
     p.add_argument("--g", type=float, default=0.01)
     p.add_argument("--beta", type=float, default=50.0)
     p.add_argument("--target", type=_angle, default=np.pi)
     p.add_argument("--no-idle", action="store_true",
                    help="exclude the idle splitting phase")
+    p = gate.add_parser("z", help="Z-gate bump amplitude")
     p.add_argument("--theta", type=_angle, default=np.pi)
     p.add_argument("--lambda-pt", type=float, default=2.0)
     p.add_argument("--tau", type=float, default=100.0)
     p.add_argument("--alpha0", type=float, default=1.0)
-    p.set_defaults(func=_cmd_calibrate)
+    gate.add_parser("entangling", parents=[config],
+                    help="the compiler's entangling trajectory")
 
-    p = sub.add_parser("compile", parents=[common],
+    p = sub.add_parser("compile", parents=[config, fmt],
                        help="compile a circuit file to sampled J1, J2")
     p.add_argument("--circuit", required=True)
+    p.add_argument("--out", help="output directory")
     p.set_defaults(func=_cmd_compile)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[config],
                        help="schedule, replay, and compare with the ideal unitary")
     p.add_argument("--circuit", required=True)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("hadamard", parents=[common],
+    p = sub.add_parser("hadamard", parents=[config],
                        help="sampled Hadamard test on <0|U|0> of the circuit")
     p.add_argument("--circuit", required=True)
     p.add_argument("--part", choices=("re", "im"), default="re")
     p.add_argument("--shots", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0, help="u64 RNG seed")
     p.set_defaults(func=_cmd_hadamard)
 
-    p = sub.add_parser("estimate-resources", parents=[common],
+    p = sub.add_parser("estimate-resources", parents=[config],
                        help="resources of the compiled schedule")
     p.add_argument("--circuit", required=True)
     p.set_defaults(func=_cmd_estimate_resources)
@@ -413,8 +424,6 @@ def build_parser():
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        if not 0 <= args.seed < 2 ** 64:
-            raise ValidationError("seed must fit in u64")
         return args.func(args)
     except (FieldForgeError, OSError, json.JSONDecodeError,
             ArithmeticError) as exc:

@@ -275,8 +275,8 @@ class CompiledFields(Schedule):
     def save(self, out_dir, basename="fields"):
         """JSON header plus raw little-endian float64 payload (t outer, x inner)."""
         _write_field_file(self, out_dir, basename,
-                          (lambda lo, hi, out: self.j1[lo:hi],
-                           lambda lo, hi, out: self.j2[lo:hi]), False)
+                          (lambda lo, hi, block: self.j1[lo:hi],
+                           lambda lo, hi, block: self.j2[lo:hi]))
 
     def save_csv(self, path):
         """One "t,x,j1,j2" row per sample, time-major, at 17 digits.
@@ -339,38 +339,55 @@ class CompiledFields(Schedule):
         with open(os.path.join(out_dir, basename + ".json"),
                   encoding="utf-8") as fh:
             header = json.load(fh)
+        if not isinstance(header, dict):
+            raise ValidationError("field file header must be a JSON object")
         if header.get("format_version") != FORMAT_VERSION:
             raise ValidationError("unknown field file format version")
-        nt, nx = header["nt"], header["nx"]
-        with open(os.path.join(out_dir, header["payload"]), "rb") as fh:
+        try:
+            nt, nx = _count(header["nt"], "nt"), _count(header["nx"], "nx")
+            ends = [header[key] for key in ("t0", "t1", "x0", "x1")]
+            payload = header["payload"]
+            plan = dict(
+                n_qubits=_count(header["n_qubits"], "n_qubits"),
+                windows=[ScheduleWindow(**w) for w in header["windows"]],
+                params=header["params"],
+                scaling=ScalingConfig(**header["scaling"]),
+                config_hash=header["config_hash"])
+        except KeyError as exc:
+            raise ValidationError(f"field file header lacks {exc}") from exc
+        except TypeError as exc:
+            raise ValidationError(f"bad field file header: {exc}") from exc
+        # the payload sits beside its header, never elsewhere
+        if not (isinstance(payload, str) and payload not in ("", ".", "..")
+                and os.path.basename(payload) == payload):
+            raise ValidationError(f"payload must be a bare file name, "
+                                  f"got {payload!r}")
+        with open(os.path.join(out_dir, payload), "rb") as fh:
             if os.fstat(fh.fileno()).st_size != 2 * nt * nx * 8:
                 raise ValidationError("payload size does not match header")
             j1 = np.fromfile(fh, "<f8", nt * nx).reshape(nt, nx)
             j2 = np.fromfile(fh, "<f8", nt * nx).reshape(nt, nx)
         # linspace reconstruction is bit-exact against the writer's grids
-        t = np.linspace(header["t0"], header["t1"], nt)
-        x = np.linspace(header["x0"], header["x1"], nx)
-        return cls(t=t, x=x, n_qubits=_count(header["n_qubits"], "n_qubits"),
-                   windows=[ScheduleWindow(**w) for w in header["windows"]],
-                   params=header["params"],
-                   scaling=ScalingConfig(**header["scaling"]),
-                   config_hash=header["config_hash"], j1=j1, j2=j2)
+        t = np.linspace(ends[0], ends[1], nt)
+        x = np.linspace(ends[2], ends[3], nx)
+        return cls(t=t, x=x, **plan, j1=j1, j2=j2)
 
 
-def _write_field_file(plan, out_dir, basename, fills, buffered):
+def _write_field_file(plan, out_dir, basename, fills):
     """The payload of plan's fields, then its JSON header.
 
-    fills are J1's and J2's fill(lo, hi, out), each returning the field's
+    fills are J1's and J2's fill(lo, hi, block), each returning the field's
     rows [lo, hi), t outer and x inner.  The rows are cut into blocks of
     FILE_BLOCK_VALUES // 2 samples, J1's and then J2's, and block i goes to
-    worker i % 2: the calling thread and one more.  A worker passes out as
-    a view of its own buffer of that size when buffered, else None, and
-    writes what fill returns at the block's own offset in the file, so the
-    bytes do not depend on which worker finishes first.  A header or CSV
-    of basename left by an earlier write is removed first, and the header
-    is written once every block has landed.  If a worker fails, the other
-    stops after its current block, the payload and any header are removed,
-    and the first error is raised as it was.
+    worker i % 2: the calling thread and one more.  Each worker owns one
+    buffer of that size, made when a fill first calls block(n) for a view
+    of its first n rows, so fills that return rows they already hold cost
+    no buffer.  A worker writes what fill returns at the block's own offset
+    in the file, so the bytes do not depend on which worker finishes
+    first.  A header or CSV of basename left by an earlier write is removed
+    first, and the header is written once every block has landed.  If a
+    worker fails, the other stops after its current block, the payload and
+    any header are removed, and the first error is raised as it was.
     """
     os.makedirs(out_dir, exist_ok=True)
     header = {
@@ -397,14 +414,20 @@ def _write_field_file(plan, out_dir, basename, fills, buffered):
     errors = []
 
     def work(mine):
-        buffer = np.empty((min(rows, nt), nx)) if buffered else None
+        buffer = None
+
+        def block(n):
+            nonlocal buffer
+            if buffer is None:
+                buffer = np.empty((min(rows, nt), nx))
+            return buffer[:n]
+
         try:
             for k, lo, hi in mine:
                 if errors:
                     return
-                out = None if buffer is None else buffer[:hi - lo]
                 data = memoryview(np.ascontiguousarray(
-                    fills[k](lo, hi, out), "<f8")).cast("B")
+                    fills[k](lo, hi, block), "<f8")).cast("B")
                 offset = (k * nt + lo) * nx * 8
                 while data:
                     written = os.pwrite(fd, data, offset)
@@ -682,7 +705,7 @@ def schedule(circuit: LogicalCircuit, params: CompileParams,
 
 
 def _fillers(plan: Schedule):
-    """(fill_j1, fill_j2): fill(lo, hi, out) writes a field's rows [lo, hi).
+    """(fill_j1, fill_j2): fill(lo, hi, block) writes a field's rows [lo, hi).
 
     Every value comes from the Schedule, which is the field file's header:
     the layout from params, the ramps and the prep from their windows, and
@@ -690,14 +713,14 @@ def _fillers(plan: Schedule):
     once, each of length nt or nx: the envelope, the pulse difference, the
     layout, the left-well profile, and each gate window's rows and bump.
     A fill writes J1 = (pulse(t) - pulse(T_total - t)) x S(x) or J2 =
-    envelope(t) x layout(x) on its rows into out, of shape (hi - lo, nx),
-    adds each gate window's deformation on the rows it shares with the
-    block, and returns out.  A J2 block of idle rows, envelope exactly
-    1.0 and in no gate window, returns a slice of one read-only block of
-    layout rows instead, built here and no taller than a save block; a J1
-    block whose pulse difference is +0.0 on every row returns a slice of
-    one such block of zeros.  An
-    entangling-class window evaluates each moved well and its parked
+    envelope(t) x layout(x) on its rows into out = block(hi - lo), of shape
+    (hi - lo, nx), adds each gate window's deformation on the rows it
+    shares with the block, and returns out.  A J2 block of idle rows,
+    envelope exactly 1.0 and in no gate window, returns a slice of one
+    read-only block of layout rows instead, built here and no taller than
+    a save block; a J1 block whose pulse difference is +0.0 on every row
+    returns a slice of one such block of zeros, and neither calls block.
+    An entangling-class window evaluates each moved well and its parked
     well only on the columns within WELL_REACH widths of their centres,
     in place in one buffer per well, in the order the full-width sum
     would use.
@@ -799,15 +822,16 @@ def _fillers(plan: Schedule):
         out -= parked[cols]
         return cols, out
 
-    def fill_j1(lo, hi, out):
+    def fill_j1(lo, hi, block):
         if live_before[hi] == live_before[lo] and hi - lo <= len(zeros):
             return zeros[:hi - lo]
-        return np.multiply(difference[lo:hi, None], profile, out=out)
+        return np.multiply(difference[lo:hi, None], profile,
+                           out=block(hi - lo))
 
-    def fill_j2(lo, hi, out):
+    def fill_j2(lo, hi, block):
         if busy_before[hi] == busy_before[lo] and hi - lo <= len(idle):
             return idle[:hi - lo]
-        np.multiply(envelope[lo:hi, None], layout, out=out)
+        out = np.multiply(envelope[lo:hi, None], layout, out=block(hi - lo))
         for r0, r1, time_factor, x_factor in terms:
             a, b = max(r0, lo), min(r1, hi)
             if a >= b:
@@ -835,8 +859,8 @@ def _fillers(plan: Schedule):
 
 def _render(plan: Schedule):
     """(J1, J2) of a schedule: each field's fill over all of its rows."""
-    shape = (plan.t.size, plan.x.size)
-    return tuple(fill(0, shape[0], np.empty(shape))
+    nt, nx = plan.t.size, plan.x.size
+    return tuple(fill(0, nt, lambda n: np.empty((n, nx)))
                  for fill in _fillers(plan))
 
 
@@ -857,7 +881,7 @@ def save(plan: Schedule, out_dir, basename):
     array is allocated (see _write_field_file).  The bytes are those
     CompiledFields.save writes for the compiled schedule.
     """
-    _write_field_file(plan, out_dir, basename, _fillers(plan), True)
+    _write_field_file(plan, out_dir, basename, _fillers(plan))
 
 
 @dataclass(frozen=True)

@@ -40,19 +40,22 @@ def hadamard_test(overlap, part="re", shots=10_000, seed=0):
     shots = _count(shots, "shots")
     if shots < 1:
         raise ValidationError("need at least one shot")
+    seed = _count(seed, "seed")
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError("seed must fit in u64")
 
     value = overlap.real if part == "re" else overlap.imag
     # clip away roundoff outside [0, 1]
     p0 = min(max((1.0 + value) / 2.0, 0.0), 1.0)
 
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     hits = int(rng.binomial(shots, p0))
     p_hat = hits / shots
     estimate = 2.0 * p_hat - 1.0
     stderr = 2.0 * np.sqrt(p_hat * (1.0 - p_hat) / shots) + 1.0 / shots
     return ShotResult(shots=shots, part=part, estimate=float(estimate),
                       standard_error=float(stderr), p0_exact=float(p0),
-                      seed=int(seed))
+                      seed=seed)
 
 
 @dataclass(frozen=True)

@@ -269,9 +269,9 @@ def test_sample_cap_exits_three(capsys, tmp_path, circuit_file, command):
     config = tmp_path / "cap.json"
     config.write_text(json.dumps({"params": {"eps": 0.5},
                                   "scaling": {"sample_cap": 1000}}))
+    out_dir = ["--out", str(tmp_path / "out")] if command == "compile" else []
     code, out, err = run(capsys, [command, "--circuit", circuit_file,
-                                  "--config", str(config),
-                                  "--out", str(tmp_path / "out")])
+                                  "--config", str(config), *out_dir])
     assert code == 3
     assert out == ""
     assert err.startswith("error: schedule needs")
@@ -391,8 +391,9 @@ def test_huge_register_exits_three(tmp_path):
         "soft = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)\n"
         "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
         "from fieldforge.cli import main\n"
-        "codes = [main([cmd, '--circuit', 'huge.json', '--out', 'out'])\n"
-        "         for cmd in ('estimate-resources', 'verify', 'compile')]\n"
+        "codes = [main([cmd, '--circuit', 'huge.json'])\n"
+        "         for cmd in ('estimate-resources', 'verify')]\n"
+        "codes.append(main(['compile', '--circuit', 'huge.json', '--out', 'out']))\n"
         "print(json.dumps(codes))\n")
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
                           env=_src_env(), capture_output=True, text=True,
@@ -417,8 +418,8 @@ def test_distant_gate_on_huge_register_meets_cap_before_routing(
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n_qubits": 1_000_000_000, "gates": [
         {"kind": "entangling", "qubits": [0, 999_999_999]}]}))
-    code, out, err = run(capsys, [command, "--circuit", str(path),
-                                  "--out", str(tmp_path / "out")])
+    out_dir = ["--out", str(tmp_path / "out")] if command == "compile" else []
+    code, out, err = run(capsys, [command, "--circuit", str(path), *out_dir])
     assert code == 3
     assert out == ""
     assert err.startswith("error: schedule needs at least ")
@@ -517,7 +518,7 @@ def test_estimate_resources(capsys, circuit_file, config_file):
     assert data["samples"] == 2 * sched.t.size * sched.x.size
 
 
-def test_bad_inputs_exit_three(capsys, tmp_path):
+def test_bad_inputs_exit_three(capsys, tmp_path, circuit_file):
     code, _, err = run(capsys, ["hadamard", "--circuit",
                                 str(tmp_path / "missing.json")])
     assert code == 3
@@ -526,12 +527,43 @@ def test_bad_inputs_exit_three(capsys, tmp_path):
     bad.write_text(json.dumps({"n_qubits": 2}))
     code, _, err = run(capsys, ["hadamard", "--circuit", str(bad)])
     assert code == 3
-    code, _, err = run(capsys, ["passage", "--eps", "0.2", "--seed", "-1"])
-    assert code == 3
-    assert "seed" in err
+    for seed in ("-1", str(2 ** 64)):
+        code, out, err = run(capsys, ["hadamard", "--circuit", circuit_file,
+                                      "--seed", seed])
+        assert (code, out, err) == (3, "", "error: seed must fit in u64\n")
 
 
 XROT = {"n_qubits": 1, "gates": [{"kind": "xrot", "qubits": [0]}]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["eigensolve", "--potential", "qes", "--config", "c.json"],
+    ["passage", "--eps", "0.2", "--seed", "1"],
+    ["spectrum", "--omega0", "10", "--kappa", "1", "--big-t", "5",
+     "--out", "d"],
+    ["calibrate", "x", "--theta", "1"],
+    ["calibrate", "z", "--g", "1"],
+    ["calibrate", "entangling", "--format", "csv"],
+    ["compile", "--circuit", "circ.json", "--seed", "1"],
+    ["verify", "--circuit", "circ.json", "--out", "d"],
+    ["hadamard", "--circuit", "circ.json", "--format", "csv"],
+    ["estimate-resources", "--circuit", "circ.json", "--out", "d"],
+], ids=["eigensolve-config", "passage-seed", "spectrum-out", "x-theta",
+        "z-g", "entangling-format", "compile-seed", "verify-out",
+        "hadamard-format", "resources-out"])
+def test_flag_the_command_does_not_read_exits_three(capsys, tmp_path,
+                                                     monkeypatch, argv):
+    # each command takes only the options it reads; any other flag is a
+    # usage error, not a value silently dropped
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "circ.json").write_text(json.dumps(XROT))
+    (tmp_path / "c.json").write_text("{}")
+    code, out, err = run(capsys, argv)
+    assert code == 3
+    assert out == ""
+    assert err == ("error: fieldforge: unrecognized arguments: "
+                   + " ".join(argv[-2:]) + "\n")
+    assert sorted(os.listdir(tmp_path)) == ["c.json", "circ.json"]
 
 
 @pytest.mark.parametrize("circuit,config", [

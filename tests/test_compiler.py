@@ -760,6 +760,33 @@ def test_load_rejects_corrupt_files(compiled, tmp_path):
         (tmp_path / "fields.json").write_text(json.dumps(header))
         with pytest.raises(ValidationError):
             CompiledFields.load(tmp_path)
+    header["format_version"] = compiler.FORMAT_VERSION
+    # an integral float is a count, as in a circuit or config file
+    for key in ("nt", "nx", "n_qubits"):
+        (tmp_path / "fields.json").write_text(json.dumps(
+            {**header, key: float(header[key])}))
+        loaded = CompiledFields.load(tmp_path)
+        assert loaded.j2.tobytes() == compiled.j2.tobytes()
+        assert loaded.n_qubits == compiled.n_qubits
+    # a copy of the payload outside the directory must not be read
+    outside = tmp_path.parent / (tmp_path.name + ".bin")
+    outside.write_bytes((tmp_path / "fields.bin").read_bytes())
+    window = header["windows"][0]
+    bad = [{key: value for key, value in header.items() if key != missing}
+           for missing in ("nx", "scaling", "t1", "windows")]
+    bad += [{**header, "windows": [{**window, "colour": "red"}]},
+            {**header, "windows": [{"label": window["label"]}]},
+            {**header, "windows": [list(window.values())]},
+            {**header, "scaling": [1.0, 4.0, 1000]},
+            {**header, "payload": "../" + outside.name},
+            {**header, "payload": str(outside)},
+            {**header, "payload": ".."},
+            {**header, "payload": None},
+            list(header)]
+    for corrupt in bad:
+        (tmp_path / "fields.json").write_text(json.dumps(corrupt))
+        with pytest.raises(ValidationError):
+            CompiledFields.load(tmp_path)
 
 
 HEADER_KEYS = {"format_version", "t0", "t1", "dt", "nt", "x0", "x1", "dx",

@@ -78,6 +78,12 @@ def test_validation():
             hadamard_test(1.0, shots=shots)
     assert hadamard_test(1.0, shots=2.0).shots == 2
     assert hadamard_test(1.0, shots=np.int64(3)).shots == 3
+    # the seed keys Philox: a u64, not a value that rounds or parses to one
+    for seed in (1.5, "3", np.nan, -1, 2 ** 64, 2 ** 70):
+        with pytest.raises(ValidationError, match="seed"):
+            hadamard_test(1.0, seed=seed)
+    assert hadamard_test(1.0, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    assert hadamard_test(1.0, seed=np.uint64(3)) == hadamard_test(1.0, seed=3)
     # roundoff just above modulus 1 is sampled, clipped to p0 = 1
     assert hadamard_test(1.0 + 1e-12).p0_exact == 1.0
 
