@@ -53,7 +53,7 @@ from .compiler import (
 )
 from .errors import FieldForgeError, ValidationError
 from .gates import calibrate_x_gate, calibrate_z_gate
-from .measure import decision, hadamard_test
+from .measure import _shot_args, decision, hadamard_test
 from .passage import check_conditions, scale_parameters
 from .potentials import Grid, PoschlTeller, QESDoubleWell, Tabulated
 from .schrodinger import solve_bound_states
@@ -292,6 +292,8 @@ def _cmd_verify(args):
 
 
 def _cmd_hadamard(args):
+    # the cheap checks first: a bad seed costs no circuit or amplitude
+    _shot_args(args.part, args.shots, args.seed)
     params, _ = _load_config(args.config)
     circuit = load_circuit(args.circuit, params)
     result = hadamard_test(vacuum_amplitude(circuit), part=args.part,

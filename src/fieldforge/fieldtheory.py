@@ -53,10 +53,14 @@ def mode_decomposition(j2, m, grid: Grid, n_continuum=0):
     The vacuum must be stable: m^2 + 2 J2 > 0 everywhere and every
     omega^2 > 0.
 
-    One call to LAPACK's divide-and-conquer driver (stevd) gives every
-    lattice mode, about 8x faster than bisection plus inverse iteration
-    at n = 1350 and orthonormal to a few ulp; n_bound is read off its
+    One call to LAPACK's MRRR driver (dstemr, Dhillon, Parlett and
+    Voemel 2006) gives every lattice mode, orthonormal to about 5e-13 at
+    n = 1348 (ORTHONORMALITY_TOL is 1e-8); n_bound is read off its
     eigenvalues and a partial request keeps the lowest n_keep modes.
+    dstemr calls no level-3 BLAS, unlike divide-and-conquer (dstevd),
+    whose merge step runs dgemm on scipy's OpenBLAS thread pool; so a
+    caller that follows the solve with numpy products, as the probes do,
+    keeps one BLAS thread pool busy, not two competing for the cores.
     Each psi is positive at its leftmost largest-magnitude sample, so the
     sign does not depend on rounding when J2 is mirror-symmetric.
     """
@@ -80,7 +84,7 @@ def mode_decomposition(j2, m, grid: Grid, n_continuum=0):
     diag = 2.0 / dx ** 2 + w2[1:-1]
     off = -np.ones(len(diag) - 1) / dx ** 2
     from scipy.linalg import eigh_tridiagonal
-    w2_modes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stevd")
+    w2_modes, vecs = eigh_tridiagonal(diag, off, lapack_driver="stemr")
     n_bound = int(np.sum(w2_modes < m * m * (1.0 - 1e-12)))
     if n_continuum is None:
         n_keep = len(diag)
@@ -399,7 +403,8 @@ def _signed_gram(v, weights, w):
     u = v * np.sqrt(np.abs(weights))
     u /= np.sqrt(w)[:, None]
     # numpy's matmul takes the symmetric rank-k (syrk) route, half the
-    # flops of a general product, only when both operands are one buffer
+    # flops of a general product, only when both operands are one buffer;
+    # with the MRRR mode solve this is the probe's only level-3 BLAS call
     positive = weights > 0
     up = u if positive.all() else u[:, positive]
     q = up @ up.T

@@ -27,14 +27,9 @@ class ShotResult:
     seed: int
 
 
-def hadamard_test(overlap, part="re", shots=10_000, seed=0):
-    """Sampled estimate of Re or Im of overlap = <psi|U|psi> from N shots."""
-    if not isinstance(overlap, numbers.Number):
-        raise ValidationError(f"overlap must be a complex scalar, got {overlap!r}")
-    overlap = complex(overlap)
-    # NaN fails the comparison too
-    if not abs(overlap) <= 1.0 + 1e-9:
-        raise ValidationError(f"overlap {overlap} needs a finite modulus <= 1")
+def _shot_args(part, shots, seed):
+    """(shots, seed) as integers, or ValidationError; needs no overlap, so
+    a caller can check them before the amplitude is computed."""
     if part not in ("re", "im"):
         raise ValidationError("part must be 're' or 'im'")
     shots = _count(shots, "shots")
@@ -43,6 +38,18 @@ def hadamard_test(overlap, part="re", shots=10_000, seed=0):
     seed = _count(seed, "seed")
     if not 0 <= seed < 2 ** 64:
         raise ValidationError("seed must fit in u64")
+    return shots, seed
+
+
+def hadamard_test(overlap, part="re", shots=10_000, seed=0):
+    """Sampled estimate of Re or Im of overlap = <psi|U|psi> from N shots."""
+    if not isinstance(overlap, numbers.Number):
+        raise ValidationError(f"overlap must be a complex scalar, got {overlap!r}")
+    overlap = complex(overlap)
+    # NaN fails the comparison too
+    if not abs(overlap) <= 1.0 + 1e-9:
+        raise ValidationError(f"overlap {overlap} needs a finite modulus <= 1")
+    shots, seed = _shot_args(part, shots, seed)
 
     value = overlap.real if part == "re" else overlap.imag
     # clip away roundoff outside [0, 1]

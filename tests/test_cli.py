@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import fieldforge
-from fieldforge import compiler
+from fieldforge import cli, compiler
 from fieldforge.cli import build_parser, load_circuit, main
 from fieldforge.compiler import (
     CompiledFields,
@@ -531,6 +531,22 @@ def test_bad_inputs_exit_three(capsys, tmp_path, circuit_file):
         code, out, err = run(capsys, ["hadamard", "--circuit", circuit_file,
                                       "--seed", seed])
         assert (code, out, err) == (3, "", "error: seed must fit in u64\n")
+
+
+def test_hadamard_checks_seed_before_amplitude(capsys, tmp_path, monkeypatch):
+    # the seed needs no state vector: on 20 qubits the amplitude would
+    # cost a 16 MB state, and a bad seed must not pay for it
+    def vacuum_amplitude(circuit):
+        raise AssertionError("amplitude computed before the seed check")
+
+    monkeypatch.setattr(cli, "vacuum_amplitude", vacuum_amplitude)
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"n_qubits": 20, "gates": [
+        {"kind": "xrot", "qubits": [0], "angle": 0.8},
+        {"kind": "entangling", "qubits": [0, 1]}]}))
+    code, out, err = run(capsys, ["hadamard", "--circuit", str(path),
+                                  "--seed", "-1"])
+    assert (code, out, err) == (3, "", "error: seed must fit in u64\n")
 
 
 XROT = {"n_qubits": 1, "gates": [{"kind": "xrot", "qubits": [0]}]}

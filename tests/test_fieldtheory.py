@@ -107,7 +107,7 @@ def test_mode_decomposition_memory(full_basis):
     assert peak < 3.0 * n * n * 8
     diag = 2.0 / grid.dx ** 2 + (1.0 + 2.0 * basis.j2[1:-1])   # m = 1
     w2, vecs = eigh_tridiagonal(diag, -np.ones(n - 1) / grid.dx ** 2,
-                                lapack_driver="stevd")
+                                lapack_driver="stemr")
     want = np.zeros((n, grid.n))
     want[:, 1:-1] = (vecs / np.sqrt(grid.dx)).T
     _fix_signs(want)
@@ -186,7 +186,7 @@ def _leftmost_peak(rows):
 
 @pytest.mark.parametrize("centre", [1.3, 0.0], ids=["off-centre", "centred"])
 def test_spectrum_matches_index_selection(centre):
-    # divide and conquer against bisection plus inverse iteration
+    # MRRR against bisection plus inverse iteration
     # (select="i"); the centred well is mirror-symmetric, so odd modes have
     # equal peaks at +-x and only a tie-robust sign rule makes both agree
     grid = Grid.symmetric(15.0, 241)
@@ -219,6 +219,45 @@ def test_sign_rule_picks_left_peak_of_odd_modes():
         np.testing.assert_allclose(psi, -psi[::-1], atol=1e-10)
         peaks = np.flatnonzero(np.abs(psi) >= (1.0 - 1e-8) * np.max(np.abs(psi)))
         assert x[peaks[0]] < 0 and psi[peaks[0]] > 0
+
+
+@pytest.mark.parametrize("separation", [4.0, 12.0, 20.0, 30.0, None],
+                         ids=["s4", "s12", "s20", "s30", "probe"])
+def test_mrrr_resolves_tight_doublets(separation):
+    # MRRR's orthogonality rests on its relative-gap analysis, so tight
+    # clusters are where it is weakest: the two-well doublets split by
+    # 8e-2 (s = 4/m) down to 8e-6 (s = 30/m); "probe" is the numerics
+    # probe's single Gaussian well, at its grid size
+    grid = Grid.symmetric(54.0, 1350)
+    x = grid.x
+    if separation is None:
+        j2 = -0.4 * np.exp(-x ** 2 / (2.0 * 1.5 ** 2))
+    else:
+        # wells of depth 0.2 and width 1.0 at +-separation/2, made
+        # bit-symmetric under x -> -x (linspace is not), so each mode is
+        # even or odd and the doublet's members do not mix
+        one = -0.2 * np.exp(-(x - separation / 2.0) ** 2 / 2.0)
+        j2 = one + one[::-1]
+    basis = mode_decomposition(j2, 1.0, grid, n_continuum=None)
+    g = basis.overlap_matrix()
+    g[np.diag_indices_from(g)] -= 1.0
+    assert basis.check_orthonormality()
+    assert np.max(np.abs(g)) < 1e-11
+    dx = grid.dx
+    k = np.diag(2.0 / dx ** 2 + 1.0 + 2.0 * j2[1:-1])
+    k[np.arange(1, k.shape[0]), np.arange(k.shape[0] - 1)] = -1.0 / dx ** 2
+    w2, vecs = np.linalg.eigh(k, UPLO="L")
+    np.testing.assert_allclose(basis.omegas, np.sqrt(w2), rtol=1e-12, atol=0)
+    assert basis.n_bound == int(np.sum(w2 < 1.0 - 1e-12)) == 2
+    if separation is not None:
+        splitting = basis.omegas[1] - basis.omegas[0]
+        assert 5e-6 < splitting < 0.1
+    for psi, ref in zip(basis.psis[:2, 1:-1] * np.sqrt(dx), vecs.T[:2]):
+        gap = min(np.max(np.abs(psi - ref)), np.max(np.abs(psi + ref)))
+        assert gap < 1e-8
+        parity = min(np.max(np.abs(psi - psi[::-1])),
+                     np.max(np.abs(psi + psi[::-1])))
+        assert parity < 1e-9
 
 
 def test_source_overlap_separable(free_basis):
